@@ -5,13 +5,13 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test lint sharing-report race fuzz serve-smoke bench bench-check benchfull experiments
+.PHONY: check fmt vet build test lint sharing-report race fuzz serve-smoke bench bench-check benchfull experiments benchmark benchmark-test benchmark-compare
 
 # Inside `make check`, a missing-dependency lint probe downgrades to a
 # loud skip (exit 0) so the rest of the gate still runs; standalone
 # `make lint` keeps the hard failure.
 check: LINT_MISSING_DEPS_EXIT = 0
-check: fmt vet build test lint race serve-smoke fuzz
+check: fmt vet build test benchmark-test lint race serve-smoke fuzz
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -160,6 +160,28 @@ bench-check:
 		$(GO) test -run NONE -bench '$(BENCH_REGEX)' \
 		-benchmem -benchtime 10x . > /dev/null || status=$$?; \
 	exit $$status
+
+# benchmark/ is the repo's measurement contract (BENCHMARK.json, PR 11):
+# a module of its own, so the root `go test ./...` never sees it.
+# `make benchmark` runs all seven workloads, untraced then traced (about
+# 3 min), and writes benchmark/.bench_out/result.json plus one trace per
+# workload; extra flags ride in BENCHMARK_FLAGS (e.g. `--workload
+# oversub-eft --seed 301 --trace 0`, or `-out /tmp/a` to keep a result
+# for comparing). `make benchmark-test` is its own test suite (wrapper
+# invisibility, every workload at smoke sizes, manifest = table; ~10 s),
+# part of `make check`. `make benchmark-compare A=a.json B=b.json` reads
+# two result.json files metric by metric against the bounds and exits 1
+# on a regression, a rise in failed operations, or a changed sim_digest.
+BENCHMARK_FLAGS ?=
+benchmark:
+	$(GO) run -C benchmark . $(BENCHMARK_FLAGS)
+
+benchmark-test:
+	$(GO) test -C benchmark .
+
+benchmark-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make benchmark-compare A=parent/result.json B=change/result.json" >&2; exit 2; }
+	$(GO) run -C benchmark . -compare $(abspath $(A)) $(abspath $(B))
 
 # The full benchmark harness (every table/figure of the paper) at one
 # iteration each.

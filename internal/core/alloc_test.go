@@ -115,6 +115,53 @@ func TestRunSteadyStateAllocsOnlineSink(t *testing.T) {
 	}
 }
 
+// TestRunSteadyStateAllocsSaturatedEFT is the oversubscribed companion:
+// the Fig 11 board under EFT with three pulse-Doppler jobs (770 tasks
+// each, hundreds wide) arriving together, so the ready window runs
+// hundreds deep and each invocation takes the saturation exit, the
+// closed-form tail and the near-head compaction. The per-mask census
+// and the compaction must stay off the heap: a warm Run allocates the
+// report header and PE stats, nothing per invocation.
+func TestRunSteadyStateAllocsSaturatedEFT(t *testing.T) {
+	cfg, err := platform.OdroidXU3(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := apps.PulseDoppler(apps.DefaultDopplerParams())
+	trace := []Arrival{{Spec: pd, At: 0}, {Spec: pd, At: 0}, {Spec: pd, At: 50_000}}
+	e, err := New(Options{
+		Config:        cfg,
+		Policy:        sched.EFT{},
+		Registry:      apps.Registry(),
+		Seed:          1,
+		SkipExecution: true,
+		Sink:          stats.NewOnline(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep *stats.Report
+	for i := 0; i < 2; i++ {
+		if rep, err = e.Run(trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep.Sched.MaxReadyLen < 100 || rep.Sched.Invocations < 100 {
+		t.Fatalf("window peaked at %d over %d invocations; the gate needs a saturated run",
+			rep.Sched.MaxReadyLen, rep.Sched.Invocations)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := e.Run(trace); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Same budget as the Online-sink case above: ~4x the steady state.
+	if avg > 16 {
+		t.Fatalf("saturated EFT Run allocates %.0f objects over %d invocations; the census or compaction reached the heap",
+			avg, rep.Sched.Invocations)
+	}
+}
+
 // TestScheduleSteadyStateAllocs1024PE pins the indexed scheduler's
 // allocation behaviour at the synthetic testbed's extreme: 1024 PEs
 // (960 cores + 64 accelerators). Once the view's bitmap scratch and

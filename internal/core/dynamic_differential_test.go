@@ -314,11 +314,39 @@ func scheduleFromBytes(data []byte, numPEs int) *platevent.Schedule {
 	return s
 }
 
+// checkedPolicy runs View.Check ahead of every indexed invocation, so
+// each FaultPE / RestorePE / SetClass / PushReady / CompactReady the
+// loop performed since the last one is held to the View's recount.
+type checkedPolicy struct {
+	sched.IndexedPolicy
+	t *testing.T
+}
+
+func (c checkedPolicy) ScheduleIndexed(now vtime.Time, v *sched.View) sched.Result {
+	if err := v.Check(); err != nil {
+		c.t.Fatalf("%s at %v: %v", c.Name(), now, err)
+	}
+	return c.IndexedPolicy.ScheduleIndexed(now, v)
+}
+
+func (c checkedPolicy) Reset() {
+	if r, ok := c.IndexedPolicy.(sched.Resettable); ok {
+		r.Reset()
+	}
+}
+
+func (c checkedPolicy) SetPowerCap(watts float64) {
+	if pc, ok := c.IndexedPolicy.(sched.PowerCapped); ok {
+		pc.SetPowerCap(watts)
+	}
+}
+
 // FuzzEventSchedule drives both scheduling paths under arbitrary event
 // schedules — including platform blackouts with no recovery, which
 // must surface as the deterministic stranded-tasks error, never a
 // panic or a hang — and requires the two paths to agree byte-for-byte
-// on the outcome, error or report.
+// on the outcome, error or report, with the indexed path's View
+// passing its own invariant recount at every invocation.
 func FuzzEventSchedule(f *testing.F) {
 	cfg, err := platform.SyntheticHet(3, 2, 1)
 	if err != nil {
@@ -362,7 +390,7 @@ func FuzzEventSchedule(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotErr := run(indexed)
+			got, gotErr := run(checkedPolicy{indexed.(sched.IndexedPolicy), t})
 			want, wantErr := run(sched.SliceOnly(slice))
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("%s: paths disagree on failure: indexed=%v slice=%v", policyName, gotErr, wantErr)

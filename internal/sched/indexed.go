@@ -16,16 +16,30 @@ package sched
 // EFT-family per-class decompositions are exact on any configuration —
 // there is no cost-non-uniform fallback left to fall back to.
 //
-// Charged-ops recipes (derived from the slice scans):
+// Charged-ops recipes (derived from the slice scans), with n the
+// window length:
 //
 //	FRFS:     P + per task: failed idle probes below the match + 1,
 //	          or the whole idle pool when nothing supports it.
-//	MET:      P + per task: its choice-list length.
-//	EFT:      P + per task: placed/32 + eftPairWeight*P.
-//	RANDOM:   P + P per task.
+//	          Tail: idle × (tasks left).
+//	MET:      P + the window's choice-list lengths (View.choices).
+//	EFT:      P + n·eftPairWeight·P + per task: placed/32.
+//	          Tail of k: rescanOps(placed+k) − rescanOps(placed) when
+//	          every window task has a live class, else placed/32 per
+//	          task with one AND deciding whether placed advances.
+//	RANDOM:   P + n·P.
 //	FRFS-RQ:  P + P per task while spare queue capacity remains.
-//	EFT-RQ:   P + eftPairWeight*P per task while capacity remains.
-//	EFT-PWR:  P + per task: eftPairWeight*P + its idle candidate count.
+//	EFT-RQ:   P + eftPairWeight·P per task while capacity remains.
+//	EFT-PWR:  P + n·eftPairWeight·P + per task: its idle candidate count.
+//
+// Saturation exit: FRFS, MET, EFT, RANDOM and EFT-PWR place only on
+// idle PEs and the call's idle snapshot only shrinks, so they leave the
+// window loop once View.canPlace turns false — no window task's
+// ClassMask meets a class with an idle PE left (usually: nothing is
+// idle). Terms independent of the walk are charged up front and the
+// tails above stand in for the unwalked tasks; none of those could be
+// assigned, draw from RANDOM's generator or be read back from EFT's
+// tentative table, so batch and Ops equal the full walk's.
 
 import (
 	"math/bits"
@@ -42,7 +56,8 @@ func (FRFS) ScheduleIndexed(now vtime.Time, v *View) Result {
 	v.beginIdleScratch()
 	ready := v.Ready()
 	meta := v.metas()
-	for ti := 0; ti < len(ready) && v.scr.idleTot > 0; ti++ {
+	ti := 0
+	for open := v.canPlace(v.allClasses); open && ti < len(ready); ti++ {
 		pi := v.minIdleOfMask(meta[ti].ClassMask)
 		if pi < 0 {
 			// Every idle PE is probed and none supports the task.
@@ -51,8 +66,11 @@ func (FRFS) ScheduleIndexed(now vtime.Time, v *View) Result {
 		}
 		res.Ops += v.idleRankBelow(pi) + 1
 		res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pi})
-		v.takeIdle(pi)
+		open = !v.takeIdle(pi) || v.canPlace(v.allClasses)
 	}
+	// Idle PEs that no window task supports (an idle accelerator behind
+	// a CPU-only backlog) are still probed in full by every task left.
+	res.Ops += v.scr.idleTot * (len(ready) - ti)
 	return res
 }
 
@@ -61,17 +79,16 @@ func (FRFS) ScheduleIndexed(now vtime.Time, v *View) Result {
 // type), so each task is one min-idle mask lookup.
 func (MET) ScheduleIndexed(now vtime.Time, v *View) Result {
 	res := Result{Assignments: newAssignments()}
-	res.Ops += v.numPEs()
+	// A cost comparison per platform entry of every ready task.
+	res.Ops += v.numPEs() + v.choices
 	v.beginIdleScratch()
 	meta := v.metas()
-	for ti := range meta {
-		m := meta[ti]
-		res.Ops += int(m.NumChoices) // cost comparison per platform entry
+	for ti, open := 0, v.canPlace(v.allClasses); open && ti < len(meta); ti++ {
 		// An empty METMask is a minimum-cost platform with no PEs in
 		// this configuration: the task waits, as on the slice path.
-		if pi := v.minIdleOfMask(m.METMask); pi >= 0 {
+		if pi := v.minIdleOfMask(meta[ti].METMask); pi >= 0 {
 			res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pi})
-			v.takeIdle(pi)
+			open = !v.takeIdle(pi) || v.canPlace(v.allClasses)
 		}
 		// Unassigned tasks simply wait for a PE of their MET type.
 	}
@@ -91,17 +108,20 @@ func (MET) ScheduleIndexed(now vtime.Time, v *View) Result {
 func (EFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 	res := Result{Assignments: newAssignments()}
 	P := v.numPEs()
-	res.Ops += P
-	v.beginIdleScratch()
-	v.beginTentative(now)
 	ready := v.Ready()
 	meta := v.metas()
-	placed := 0
-	for ti := range ready {
+	// Status scan, plus one pair evaluation per PE for every ready task.
+	res.Ops += P + len(ready)*eftPairWeight*P
+	v.beginIdleScratch()
+	open := v.canPlace(v.allClasses)
+	if open {
+		v.beginTentative(now)
+	}
+	placed, ti := 0, 0
+	for ; open && ti < len(ready); ti++ {
 		// The reference implementation's tentative-placement rescan
-		// (see EFT.Schedule) plus one pair evaluation per PE.
+		// (see EFT.Schedule).
 		res.Ops += placed / 32
-		res.Ops += eftPairWeight * P
 		costs := meta[ti].Costs
 		bestPE := -1
 		var bestFinish vtime.Time
@@ -128,7 +148,7 @@ func (EFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 		placed++
 		if bestIdle {
 			res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: bestPE})
-			v.takeIdle(bestPE)
+			open = !v.takeIdle(bestPE) || v.canPlace(v.allClasses)
 		}
 		// Busy best: the task waits but its tentative placement
 		// influences later decisions. Assigned best: the PE joins the
@@ -136,7 +156,30 @@ func (EFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 		// tentative advances to bestFinish.
 		v.setTentative(bestPE, bestFinish)
 	}
+	// The unwalked tail owes only its rescan charges. A task counts as
+	// placed when one of its classes is live; if the census shows every
+	// window task has one, the k charges are consecutive terms of one sum.
+	if k := len(ready) - ti; k > 0 {
+		live := v.liveClasses()
+		if v.windowMeeting(live) == len(ready) {
+			res.Ops += rescanOps(placed+k) - rescanOps(placed)
+		} else {
+			for ; ti < len(ready); ti++ {
+				res.Ops += placed / 32
+				if meta[ti].ClassMask&live != 0 {
+					placed++
+				}
+			}
+		}
+	}
 	return res
+}
+
+// rescanOps is the sum of i/32 over 0 <= i < n: EFT's rescan charge
+// for n consecutive placements.
+func rescanOps(n int) int {
+	q, r := n/32, n%32
+	return 16*q*(q-1) + r*q
 }
 
 // ScheduleIndexed implements IndexedPolicy: RANDOM's candidate list is
@@ -146,12 +189,11 @@ func (EFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 // identical.
 func (r *Random) ScheduleIndexed(now vtime.Time, v *View) Result {
 	res := Result{Assignments: newAssignments()}
-	P := v.numPEs()
-	res.Ops += P
-	v.beginIdleScratch()
 	meta := v.metas()
-	for ti := range meta {
-		res.Ops += P
+	// Status scan, plus a candidate scan over every PE per ready task.
+	res.Ops += v.numPEs() * (1 + len(meta))
+	v.beginIdleScratch()
+	for ti, open := 0, v.canPlace(v.allClasses); open && ti < len(meta); ti++ {
 		mask := meta[ti].ClassMask
 		n := v.idleCountOfMask(mask)
 		if n == 0 {
@@ -159,7 +201,7 @@ func (r *Random) ScheduleIndexed(now vtime.Time, v *View) Result {
 		}
 		pi := v.kthIdleOfMask(mask, r.rng.Intn(n))
 		res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pi})
-		v.takeIdle(pi)
+		open = !v.takeIdle(pi) || v.canPlace(v.allClasses)
 	}
 	return res
 }
@@ -252,8 +294,10 @@ func (p PowerEFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 		slack = 1
 	}
 	res := Result{Assignments: newAssignments()}
-	P := v.numPEs()
-	res.Ops += P
+	ready := v.Ready()
+	meta := v.metas()
+	// Status scan, plus one pair evaluation per PE for every ready task.
+	res.Ops += v.numPEs() * (1 + eftPairWeight*len(ready))
 	v.beginIdleScratch()
 	// An active power cap masks over-budget classes out of candidacy
 	// (power is uniform within a class, so the cap resolves per class);
@@ -268,10 +312,7 @@ func (p PowerEFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 			}
 		}
 	}
-	ready := v.Ready()
-	meta := v.metas()
-	for ti := range ready {
-		res.Ops += eftPairWeight * P
+	for ti, open := 0, v.canPlace(capMask); open && ti < len(ready); ti++ {
 		mask := meta[ti].ClassMask & v.allClasses & capMask
 		costs := meta[ti].Costs
 		var bestFinish vtime.Time = -1
@@ -314,7 +355,7 @@ func (p PowerEFT) ScheduleIndexed(now vtime.Time, v *View) Result {
 			pick = v.minIdleOfMask(mask)
 		}
 		res.Assignments = append(res.Assignments, Assignment{TaskIndex: ti, PEIndex: pick})
-		v.takeIdle(pick)
+		open = !v.takeIdle(pick) || v.canPlace(capMask)
 	}
 	return res
 }

@@ -20,6 +20,7 @@ package sched
 // sched) and TestIndexedMatchesSlicePath (package core).
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/vtime"
@@ -251,8 +252,20 @@ type View struct {
 	ready []Task
 	meta  []*ReadyMeta
 	head  int
+	// masks counts the window's tasks per distinct ClassMask (a handful
+	// of rows) and choices sums their NumChoices; PushReady, CompactReady
+	// and Reset maintain both. They are what lets a policy stop walking
+	// a saturated window and charge the rest arithmetically (indexed.go).
+	masks   []maskCount
+	choices int
 
 	scr viewScratch
+}
+
+// maskCount is one row of the ready window's ClassMask census.
+type maskCount struct {
+	mask uint64
+	n    int
 }
 
 // classSig is one interned cost class during view construction.
@@ -389,6 +402,8 @@ func (v *View) Reset() {
 	v.ready = v.ready[:0]
 	v.meta = v.meta[:0]
 	v.head = 0
+	v.masks = v.masks[:0]
+	v.choices = 0
 }
 
 // MarkBusy removes a PE from the idle index; idempotent.
@@ -517,61 +532,100 @@ func (v *View) AddLoad(pi, delta int) { v.load[pi] += int32(delta) }
 func (v *View) PushReady(t Task, m *ReadyMeta) {
 	v.ready = append(v.ready, t)
 	v.meta = append(v.meta, m)
+	v.census(m, 1)
+}
+
+// census adds d window tasks of m's shape to the per-mask counts.
+func (v *View) census(m *ReadyMeta, d int) {
+	v.choices += d * int(m.NumChoices)
+	for i := range v.masks {
+		if v.masks[i].mask == m.ClassMask {
+			v.masks[i].n += d
+			return
+		}
+	}
+	v.masks = append(v.masks, maskCount{m.ClassMask, d})
+}
+
+// vacate takes backing slot i out of the window: the census forgets
+// its task and the slot stops pinning it.
+func (v *View) vacate(i int) {
+	v.census(v.meta[i], -1)
+	v.ready[i], v.meta[i] = nil, nil
 }
 
 // CompactReady drops every window entry whose index is marked in
-// remove (indices are window-relative), preserving order; nRemoved is
-// the mark count, letting the all-prefix case — FRFS assigns
-// oldest-first, so batches overwhelmingly consume a prefix — return
-// without scanning the rest of the window for holes. The removed
-// prefix is consumed by advancing the head; only removals scattered
-// beyond it cost a tail compaction. Once the dead prefix outweighs the
-// live window the backing array slides down, so storage stays
+// remove (window-relative; len(remove) is the window length), preserving
+// order. nRemoved is the mark count, so hole finding stops at the last
+// mark. A removed prefix — FRFS assigns oldest-first — is consumed by
+// advancing the head. Holes beyond it are closed from the nearer end:
+// EFT's sit a few slots past the head of a window thousands deep, so
+// the short kept run before the last hole shifts up and the head
+// advances over it; holes near the tail shift the tail down. The cost
+// is the shorter side, never the window. Once the dead prefix outweighs
+// the live window the backing array slides down, so storage stays
 // proportional to the peak window.
 func (v *View) CompactReady(remove []bool, nRemoved int) {
 	base := v.head
 	i := 0
 	for ; i < len(remove) && remove[i]; i++ {
-		v.ready[base+i] = nil // consumed slots must not pin tasks
-		v.meta[base+i] = nil
+		v.vacate(base + i)
 	}
 	v.head = base + i
-	// Scattered removals beyond the prefix: everything before the first
-	// hole is already in place, so compaction shifts only the tail from
-	// there, moving the kept runs between holes with bulk copies. When
-	// the prefix accounted for every mark there is no hole to find and
-	// the window scan is skipped entirely.
-	f := -1
-	if i < nRemoved {
-		for j := i; j < len(remove); j++ {
-			if remove[j] {
-				f = j
-				break
+	first, last := -1, -1
+	for j, seen := i, i; seen < nRemoved && j < len(remove); j++ {
+		if remove[j] {
+			v.vacate(base + j)
+			if first < 0 {
+				first = j
 			}
+			last = j
+			seen++
 		}
 	}
-	if f >= 0 {
-		dst := base + f
-		j := f
-		for j < len(remove) {
-			if remove[j] {
-				j++
-				continue
+	if first >= 0 {
+		// Kept entries before the last hole or after the first: move the
+		// fewer, one bulk copy per run between holes.
+		if before, after := last+1-nRemoved, len(remove)-first-(nRemoved-i); before <= after {
+			dst := base + last + 1
+			for j := last; j >= i; {
+				if remove[j] {
+					j--
+					continue
+				}
+				k := j
+				for k >= i && !remove[k] {
+					k--
+				}
+				dst -= j - k
+				copy(v.meta[dst:], v.meta[base+k+1:base+j+1])
+				copy(v.ready[dst:], v.ready[base+k+1:base+j+1])
+				j = k
 			}
-			k := j
-			for k < len(remove) && !remove[k] {
-				k++
+			clear(v.ready[v.head:dst])
+			clear(v.meta[v.head:dst])
+			v.head = dst
+		} else {
+			dst := base + first
+			for j := first; j < len(remove); {
+				if j <= last && remove[j] {
+					j++
+					continue
+				}
+				k := len(remove) // past the last hole the rest is one run
+				if j < last {
+					for k = j; !remove[k]; k++ {
+					}
+				}
+				copy(v.meta[dst:], v.meta[base+j:base+k])
+				dst += copy(v.ready[dst:], v.ready[base+j:base+k])
+				j = k
 			}
-			copy(v.meta[dst:], v.meta[base+j:base+k])
-			dst += copy(v.ready[dst:], v.ready[base+j:base+k])
-			j = k
+			clear(v.ready[dst:])
+			clear(v.meta[dst:])
+			v.ready = v.ready[:dst]
+			v.meta = v.meta[:dst]
 		}
-		for i := dst; i < len(v.ready); i++ {
-			v.ready[i] = nil
-			v.meta[i] = nil
-		}
-		v.ready = v.ready[:dst]
-		v.meta = v.meta[:dst]
 	}
 	if v.head == len(v.ready) {
 		v.ready = v.ready[:0]
@@ -580,14 +634,46 @@ func (v *View) CompactReady(remove []bool, nRemoved int) {
 	} else if v.head >= 64 && v.head > len(v.ready)-v.head {
 		n := copy(v.ready, v.ready[v.head:])
 		copy(v.meta, v.meta[v.head:])
-		for i := n; i < len(v.ready); i++ {
-			v.ready[i] = nil
-			v.meta[i] = nil
-		}
+		clear(v.ready[n:])
+		clear(v.meta[n:])
 		v.ready = v.ready[:n]
 		v.meta = v.meta[:n]
 		v.head = 0
 	}
+}
+
+// Check recounts the ready window against what PushReady, CompactReady
+// and Reset maintain incrementally and reports the first disagreement:
+// the per-mask census, the choice sum, and nil in every backing slot
+// outside the window (a consumed slot must not pin its task). It is
+// O(window) and allocates: for tests and fuzzers.
+func (v *View) Check() error {
+	choices, counts := 0, map[uint64]int{}
+	for _, m := range v.metas() {
+		choices += int(m.NumChoices)
+		counts[m.ClassMask]++
+	}
+	for _, r := range v.masks {
+		if counts[r.mask] != r.n {
+			return fmt.Errorf("sched: census holds %d tasks of mask %#x, window has %d", r.n, r.mask, counts[r.mask])
+		}
+		delete(counts, r.mask)
+	}
+	if len(counts) != 0 || choices != v.choices {
+		return fmt.Errorf("sched: census misses masks %v; choice sum %d, window has %d", counts, v.choices, choices)
+	}
+	live := func(i int) bool { return i >= v.head && i < len(v.ready) }
+	for i, t := range v.ready[:cap(v.ready)] {
+		if (t != nil) != live(i) {
+			return fmt.Errorf("sched: backing slot %d of window [%d,%d) holds task %v", i, v.head, len(v.ready), t)
+		}
+	}
+	for i, m := range v.meta[:cap(v.meta)] {
+		if (m != nil) != live(i) {
+			return fmt.Errorf("sched: backing slot %d of window [%d,%d) holds meta %v", i, v.head, len(v.ready), m)
+		}
+	}
+	return nil
 }
 
 // ReadyLen is the live ready window length.
@@ -624,11 +710,59 @@ func (v *View) beginIdleScratch() {
 	v.scr.idleTot = v.idleTot
 }
 
-// takeIdle consumes one idle PE from the call snapshot.
-func (v *View) takeIdle(pi int) {
+// takeIdle consumes one idle PE from the call snapshot and reports
+// whether it was its class's last — the only way canPlace turns false.
+func (v *View) takeIdle(pi int) bool {
 	v.scr.idle[pi/64] &^= 1 << uint(pi%64)
-	v.scr.idleCnt[v.peClass[pi]]--
 	v.scr.idleTot--
+	c := v.peClass[pi]
+	v.scr.idleCnt[c]--
+	return v.scr.idleCnt[c] == 0
+}
+
+// windowMeeting counts the window tasks whose ClassMask meets classes.
+func (v *View) windowMeeting(classes uint64) int {
+	n := 0
+	for _, r := range v.masks {
+		if r.mask&classes != 0 {
+			n += r.n
+		}
+	}
+	return n
+}
+
+// canPlace reports whether any window task supports a class, among
+// those in within, with an idle PE left in the call snapshot — the
+// saturation exit: once false, nothing more can be assigned this call.
+// Judged over the whole window, not the unwalked suffix, so sufficient
+// rather than necessary: a walked task that declined an idle PE keeps
+// it true.
+func (v *View) canPlace(within uint64) bool {
+	if v.scr.idleTot == 0 {
+		return false
+	}
+	var idle uint64
+	for c, n := range v.scr.idleCnt {
+		if n > 0 {
+			idle |= 1 << uint(c)
+		}
+	}
+	return v.windowMeeting(idle&within) > 0
+}
+
+// liveClasses masks the classes that have a member in service (not
+// faulted): the classes a task can be placed on, if only tentatively.
+func (v *View) liveClasses() uint64 {
+	var live uint64
+	for c := 0; c < v.numClasses; c++ {
+		for _, w := range v.classBits[c*v.words : (c+1)*v.words] {
+			if w != 0 {
+				live |= 1 << uint(c)
+				break
+			}
+		}
+	}
+	return live
 }
 
 // minIdleOfClass returns the lowest-index idle PE of one class, or -1.

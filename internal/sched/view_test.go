@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/vtime"
@@ -11,7 +13,7 @@ import (
 // the given fakes: busy PEs marked, availability and load mirrored,
 // ready tasks pushed with their compiled metadata (View.MetaFor is the
 // in-package equivalent of core.Compile's class-based lowering).
-func viewFor(t *testing.T, fakes []*fakePE, tasks []Task) *View {
+func viewFor(t testing.TB, fakes []*fakePE, tasks []Task) *View {
 	t.Helper()
 	pes := make([]PE, len(fakes))
 	for i, f := range fakes {
@@ -99,6 +101,18 @@ func randomScenario(rng *rand.Rand, now vtime.Time, uniform bool) ([]*fakePE, []
 	return fakes, tasks
 }
 
+// requireSameResult fails unless the indexed result equals the slice
+// one: same Ops, same assignments in the same order.
+func requireSameResult(t *testing.T, id string, slice, indexed Result) {
+	t.Helper()
+	if slice.Ops != indexed.Ops {
+		t.Fatalf("%s: ops diverged: slice %d, indexed %d", id, slice.Ops, indexed.Ops)
+	}
+	if !slices.Equal(slice.Assignments, indexed.Assignments) {
+		t.Fatalf("%s: batch diverged: slice %v, indexed %v", id, slice.Assignments, indexed.Assignments)
+	}
+}
+
 // TestIndexedMatchesSlicePolicies is the policy-level half of the
 // byte-determinism contract: for every built-in policy over random
 // emulator-consistent states, ScheduleIndexed must return the same
@@ -129,19 +143,7 @@ func TestIndexedMatchesSlicePolicies(t *testing.T) {
 			want := pSlice.Schedule(now, tasks, pes)
 			v := viewFor(t, fakes, tasks)
 			got := ip.ScheduleIndexed(now, v)
-			if want.Ops != got.Ops {
-				t.Fatalf("%s trial %d: ops diverged: slice %d, indexed %d", name, trial, want.Ops, got.Ops)
-			}
-			if len(want.Assignments) != len(got.Assignments) {
-				t.Fatalf("%s trial %d: batch size diverged: slice %v, indexed %v",
-					name, trial, want.Assignments, got.Assignments)
-			}
-			for i := range want.Assignments {
-				if want.Assignments[i] != got.Assignments[i] {
-					t.Fatalf("%s trial %d: assignment %d diverged: slice %+v, indexed %+v",
-						name, trial, i, want.Assignments[i], got.Assignments[i])
-				}
-			}
+			requireSameResult(t, fmt.Sprintf("%s trial %d", name, trial), want, got)
 		}
 	}
 }
@@ -324,15 +326,7 @@ func TestIndexedParityAtClassBoundary(t *testing.T) {
 			t.Fatalf("boundary scenario interned %d classes, want 64", v.NumClasses())
 		}
 		got := pIdx.(IndexedPolicy).ScheduleIndexed(now, v)
-		if want.Ops != got.Ops || len(want.Assignments) != len(got.Assignments) {
-			t.Fatalf("%s: diverged at the 64-class boundary: slice ops %d/%d assignments, indexed %d/%d",
-				name, want.Ops, len(want.Assignments), got.Ops, len(got.Assignments))
-		}
-		for i := range want.Assignments {
-			if want.Assignments[i] != got.Assignments[i] {
-				t.Fatalf("%s: assignment %d diverged: %+v vs %+v", name, i, want.Assignments[i], got.Assignments[i])
-			}
-		}
+		requireSameResult(t, name+" at the 64-class boundary", want, got)
 	}
 }
 
