@@ -83,9 +83,11 @@ sharing-report:
 # packages' suites run raced in full (each is seconds, not minutes).
 # The serving layer joins since the daemon PR: admission waiters, the
 # snapshot ticker, drain, and the grid-order emitter are all
-# goroutine-heavy by design.
+# goroutine-heavy by design. kernels joins with its FFT twiddle tables,
+# the package's first shared state: built once per size, then read by
+# every executing sweep worker with no lock.
 race:
-	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/platevent/... ./internal/workload/... ./internal/stats/... ./internal/serve/...
+	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/platevent/... ./internal/workload/... ./internal/stats/... ./internal/serve/... ./internal/kernels/...
 	$(GO) test -race -run ParallelGolden ./internal/experiments
 	$(GO) test -race -run Dynamic ./internal/core
 

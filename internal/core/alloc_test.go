@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/appmodel"
 	"repro/internal/apps"
+	"repro/internal/kernels"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -159,6 +162,69 @@ func TestRunSteadyStateAllocsSaturatedEFT(t *testing.T) {
 	if avg > 16 {
 		t.Fatalf("saturated EFT Run allocates %.0f objects over %d invocations; the census or compaction reached the heap",
 			avg, rep.Sched.Invocations)
+	}
+}
+
+// TestRunSteadyStateAllocsExecuting is the executing-run companion: a
+// 256-task chain whose kernel bumps a counter, under modelled timing.
+// Dispatch refills the emulator's one kernels.Context, so a warm Run
+// allocates the report, the instance's memory (one variable) and
+// nothing per task. The counter proves every kernel saw its arguments
+// through the reused context.
+func TestRunSteadyStateAllocsExecuting(t *testing.T) {
+	const tasks = 256
+	spec := &appmodel.AppSpec{
+		AppName:      "chain",
+		SharedObject: "chain.so",
+		Variables:    map[string]appmodel.VariableSpec{"counter": {Bytes: 8}},
+		DAG:          map[string]appmodel.NodeSpec{},
+	}
+	for i := 0; i < tasks; i++ {
+		ns := appmodel.NodeSpec{
+			Arguments: []string{"counter"},
+			Platforms: []appmodel.PlatformSpec{{Name: "cpu", RunFunc: "bump", CostNS: 1000}},
+		}
+		if i > 0 {
+			ns.Predecessors = []string{fmt.Sprintf("n%03d", i-1)}
+		}
+		spec.DAG[fmt.Sprintf("n%03d", i)] = ns
+	}
+	spec.Normalize()
+	reg := kernels.NewRegistry()
+	reg.MustRegister(spec.SharedObject, "bump", func(ctx *kernels.Context) error {
+		v, err := ctx.Arg(0)
+		if err != nil {
+			return err
+		}
+		v.SetInt64(v.Int64() + 1)
+		return nil
+	})
+	e, err := New(Options{
+		Config:   zcu(t, 3, 2),
+		Policy:   sched.FRFS{},
+		Registry: reg,
+		Seed:     1,
+		Sink:     stats.NewOnline(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := []Arrival{{Spec: spec}}
+	for i := 0; i < 2; i++ {
+		if _, err := e.Run(trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Instances()[0].Mem.MustLookup("counter").Int64(); got != tasks {
+		t.Fatalf("counter = %d after %d executing tasks", got, tasks)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := e.Run(trace); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 32 {
+		t.Fatalf("executing Run allocates %.0f objects for %d tasks; dispatch allocates per task again", avg, tasks)
 	}
 }
 

@@ -184,6 +184,8 @@ type Emulator struct {
 
 	report            *stats.Report
 	pendingMonitorOps int
+	// kctx is refilled by each executing dispatch; kernels keep no reference.
+	kctx kernels.Context
 }
 
 // SchedulerPath values: which scheduling machinery an emulator's runs
@@ -1137,15 +1139,17 @@ func (e *Emulator) dispatch(t *Task, h *ResourceHandler, now vtime.Time) error {
 
 	var measuredNS int64
 	if !e.opts.SkipExecution && !t.executed {
-		f := t.node.funcs[ci]
-		ctx := &kernels.Context{Mem: t.App.Mem, Args: t.node.spec.Arguments, Node: t.node.name}
-		//repolint:allow novtime TimingMeasured mode deliberately measures real kernel wall time; modeled-timing runs never read this
-		start := time.Now()
-		if err := f(ctx); err != nil {
+		e.kctx = kernels.Context{Mem: t.App.Mem, Args: t.node.spec.Arguments, Node: t.node.name}
+		var start time.Time
+		if e.opts.Timing == Measured {
+			start = time.Now() //repolint:allow novtime TimingMeasured mode deliberately measures real kernel wall time; modeled-timing runs never reach this
+		}
+		if err := t.node.funcs[ci](&e.kctx); err != nil {
 			return fmt.Errorf("core: task %s failed on %s: %w", t.Label(), h.PE.Label(), err)
 		}
-		//repolint:allow novtime paired with the TimingMeasured wall-clock read above
-		measuredNS = time.Since(start).Nanoseconds()
+		if e.opts.Timing == Measured {
+			measuredNS = time.Since(start).Nanoseconds() //repolint:allow novtime paired with the TimingMeasured wall-clock read above
+		}
 		// A fault can requeue and re-dispatch this task; its kernel has
 		// now run against the instance memory and must not run twice.
 		t.executed = true
@@ -1179,7 +1183,7 @@ func (e *Emulator) taskDuration(t *Task, h *ResourceHandler, plat *appmodel.Plat
 	switch h.PE.Type.Class {
 	case platform.CPU:
 		cost := float64(plat.CostNS)
-		if e.opts.Timing == Measured && measuredNS > 0 {
+		if measuredNS > 0 {
 			cost = float64(measuredNS)
 		}
 		base = cost * h.speed
@@ -1189,7 +1193,7 @@ func (e *Emulator) taskDuration(t *Task, h *ResourceHandler, plat *appmodel.Plat
 		if compute == 0 {
 			compute = float64(plat.CostNS)
 		}
-		if e.opts.Timing == Measured && measuredNS > 0 {
+		if measuredNS > 0 {
 			compute = float64(measuredNS) * measuredAccelComputeFactor
 		}
 		bytes := t.node.dataBytes

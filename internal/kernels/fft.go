@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // This file holds the spectral kernels: radix-2 FFT/IFFT, the naive
@@ -14,6 +15,46 @@ import (
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// maxTwiddleLog2 bounds the retained twiddle tables: at n = 2^16 a
+// table is 512 KiB, never more than the buffer being transformed.
+// Larger transforms build theirs per call.
+const maxTwiddleLog2 = 16
+
+// twiddleTables[log2 n] is the process-wide forward twiddle table of
+// size n, built on first use and never written again, so concurrent
+// sweep workers and daemon cells read it without a lock.
+var twiddleTables [maxTwiddleLog2 + 1]struct {
+	once sync.Once
+	w    []complex128
+}
+
+// twiddles returns w[k] = cos(step·k) + i·sin(step·k), step = −2π/n,
+// for k < n/2. A radix-2 stage of width size reads w[k·(n/size)], and
+// that is bit-for-bit the cos/sin of its own angle (−2π/size)·k: the
+// two steps differ by the exact power of two n/size and so do the two
+// indices, so both products are one real number rounded once. The
+// inverse transform negates the imaginary part; math.Sin is odd and
+// math.Cos even bit-for-bit.
+func twiddles(n int) []complex128 {
+	lg := bits.TrailingZeros(uint(n))
+	if lg > maxTwiddleLog2 {
+		return buildTwiddles(n)
+	}
+	t := &twiddleTables[lg]
+	t.once.Do(func() { t.w = buildTwiddles(n) })
+	return t.w
+}
+
+func buildTwiddles(n int) []complex128 {
+	w := make([]complex128, n/2)
+	step := -2 * math.Pi / float64(n)
+	for k := range w {
+		angle := step * float64(k)
+		w[k] = complex(math.Cos(angle), math.Sin(angle))
+	}
+	return w
+}
 
 // FFTInPlace computes the in-place radix-2 decimation-in-time FFT of
 // x. len(x) must be a power of two.
@@ -39,17 +80,16 @@ func fftInPlace(x []complex64, inverse bool) error {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
+	tw := twiddles(n)
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
+		stride := n / size
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
-				angle := step * float64(k)
-				wr, wi := math.Cos(angle), math.Sin(angle)
+				wr, wi := real(tw[k*stride]), imag(tw[k*stride])
+				if inverse {
+					wi = -wi
+				}
 				a := x[start+k]
 				b := x[start+k+half]
 				br := float64(real(b))*wr - float64(imag(b))*wi

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -32,17 +31,16 @@ func fft64InPlace(x []complex128, inverse bool) error {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
+	tw := twiddles(n)
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
+		stride := n / size
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
-				angle := step * float64(k)
-				w := complex(math.Cos(angle), math.Sin(angle))
+				w := tw[k*stride]
+				if inverse {
+					w = complex(real(w), -imag(w))
+				}
 				a := x[start+k]
 				b := x[start+k+half] * w
 				x[start+k] = a + b

@@ -1,9 +1,12 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -345,13 +348,332 @@ func TestDelay(t *testing.T) {
 	}
 }
 
-func BenchmarkFFT256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randComplex(rng, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = FFTInPlace(x)
+// refFFT and refFFT64 are fftInPlace and fft64InPlace as they stood
+// before the twiddle tables — one math.Cos/math.Sin pair per butterfly
+// — transcribed verbatim. They are the reference the table-driven loops
+// must match bit for bit; do not "tidy" them.
+func refFFT(x []complex64, inverse bool) {
+	n := len(x)
+	if n == 1 {
+		return
 	}
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	for i := 1; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				angle := step * float64(k)
+				wr, wi := math.Cos(angle), math.Sin(angle)
+				a := x[start+k]
+				b := x[start+k+half]
+				br := float64(real(b))*wr - float64(imag(b))*wi
+				bi := float64(real(b))*wi + float64(imag(b))*wr
+				x[start+k] = complex(float32(float64(real(a))+br), float32(float64(imag(a))+bi))
+				x[start+k+half] = complex(float32(float64(real(a))-br), float32(float64(imag(a))-bi))
+			}
+		}
+	}
+	if inverse {
+		inv := float32(1.0 / float64(n))
+		for i := range x {
+			x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
+		}
+	}
+}
+
+func refFFT64(x []complex128, inverse bool) {
+	n := len(x)
+	if n == 1 {
+		return
+	}
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	for i := 1; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				angle := step * float64(k)
+				w := complex(math.Cos(angle), math.Sin(angle))
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+			}
+		}
+	}
+	if inverse {
+		inv := complex(1/float64(n), 0)
+		for i := range x {
+			x[i] *= inv
+		}
+	}
+}
+
+type bitInput struct {
+	name string
+	x    []complex128
+}
+
+// bitInputs returns the differential's inputs of length n: dense
+// random-normal data, and sparse signed-zero data salted with one
+// special value each — sparse so that a single Inf or NaN does not turn
+// every output into NaN and hide the rest, signed zeros because the
+// k = 0 twiddle's sine is −0 forward and +0 inverse and only a zero
+// operand shows which one was used. tiny and huge are the precision
+// under test's smallest subnormal and a value whose sums overflow.
+func bitInputs(rng *rand.Rand, n int, tiny, huge float64) []bitInput {
+	zero := func() float64 {
+		if rng.Intn(2) == 0 {
+			return math.Copysign(0, -1)
+		}
+		return 0
+	}
+	normal := make([]complex128, n)
+	for i := range normal {
+		normal[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	in := []bitInput{{"normal", normal}}
+	for _, salt := range []struct {
+		name    string
+		special float64
+	}{
+		{"zeros", 0}, {"+inf", math.Inf(1)}, {"-inf", math.Inf(-1)}, {"nan", math.NaN()},
+		{"subnormal", tiny}, {"-subnormal", -tiny}, {"near-max", huge},
+	} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(zero(), zero())
+		}
+		if salt.name != "zeros" {
+			for j := 0; j < 1+n/16; j++ {
+				i := rng.Intn(n)
+				switch rng.Intn(3) {
+				case 0:
+					x[i] = complex(salt.special, imag(x[i]))
+				case 1:
+					x[i] = complex(real(x[i]), salt.special)
+				default:
+					x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+			}
+		}
+		in = append(in, bitInput{salt.name, x})
+	}
+	return in
+}
+
+// bits32 and bits64 are a complex value's exact bit patterns, so that
+// −0 ≠ +0 and a NaN equals only the same NaN.
+func bits32(v complex64) [2]uint32 {
+	return [2]uint32{math.Float32bits(real(v)), math.Float32bits(imag(v))}
+}
+
+func bits64(v complex128) [2]uint64 {
+	return [2]uint64{math.Float64bits(real(v)), math.Float64bits(imag(v))}
+}
+
+// fftBitSizes is 2…2^14 plus one size past the retention bound, whose
+// table is built per call.
+func fftBitSizes() []int {
+	var sizes []int
+	for lg := 1; lg <= 14; lg++ {
+		sizes = append(sizes, 1<<lg)
+	}
+	return append(sizes, 1<<(maxTwiddleLog2+1))
+}
+
+func TestFFTBitIdenticalToDirectTrig(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range fftBitSizes() {
+		inputs := bitInputs(rng, n, math.SmallestNonzeroFloat32, 0.75*math.MaxFloat32)
+		if n > 1<<maxTwiddleLog2 {
+			inputs = inputs[:1] // the dense input alone: direct trig is slow here
+		}
+		for _, in := range inputs {
+			for _, inverse := range []bool{false, true} {
+				got := make([]complex64, n)
+				for i, v := range in.x {
+					got[i] = complex64(v)
+				}
+				want := append([]complex64(nil), got...)
+				refFFT(want, inverse)
+				if err := fftInPlace(got, inverse); err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if bits32(got[i]) != bits32(want[i]) {
+						t.Fatalf("n=%d %s inverse=%v: x[%d] = %v %#x, direct trig gives %v %#x",
+							n, in.name, inverse, i, got[i], bits32(got[i]), want[i], bits32(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFFT64BitIdenticalToDirectTrig(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range fftBitSizes() {
+		inputs := bitInputs(rng, n, math.SmallestNonzeroFloat64, 0.75*math.MaxFloat64)
+		if n > 1<<maxTwiddleLog2 {
+			inputs = inputs[:1]
+		}
+		for _, in := range inputs {
+			for _, inverse := range []bool{false, true} {
+				got := append([]complex128(nil), in.x...)
+				want := append([]complex128(nil), in.x...)
+				refFFT64(want, inverse)
+				if err := fft64InPlace(got, inverse); err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					if bits64(got[i]) != bits64(want[i]) {
+						t.Fatalf("n=%d %s inverse=%v: x[%d] = %v %#x, direct trig gives %v %#x",
+							n, in.name, inverse, i, got[i], bits64(got[i]), want[i], bits64(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTwiddleTableEntries checks the table against the angle every
+// stage computed before it existed: entry k·(n/size) is the cos/sin of
+// (−2π/size)·k, and negating its sine gives the inverse's (+2π/size)·k.
+func TestTwiddleTableEntries(t *testing.T) {
+	for lg := 1; lg <= maxTwiddleLog2+1; lg++ {
+		n := 1 << lg
+		tw := twiddles(n)
+		if len(tw) != n/2 {
+			t.Fatalf("n=%d: table has %d entries, want %d", n, len(tw), n/2)
+		}
+		for _, sign := range []float64{-1, 1} {
+			for size := 2; size <= n; size <<= 1 {
+				step := sign * 2 * math.Pi / float64(size)
+				for k := 0; k < size/2; k++ {
+					angle := step * float64(k)
+					w := tw[k*(n/size)]
+					wr, wi := real(w), imag(w)
+					if sign > 0 {
+						wi = -wi
+					}
+					if math.Float64bits(wr) != math.Float64bits(math.Cos(angle)) ||
+						math.Float64bits(wi) != math.Float64bits(math.Sin(angle)) {
+						t.Fatalf("n=%d size=%d k=%d sign=%v: table (%v, %v), direct (%v, %v)",
+							n, size, k, sign, wr, wi, math.Cos(angle), math.Sin(angle))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTwiddleFirstUseConcurrent races the first use of one size from 32
+// goroutines (make race runs this package). The slot is cleared first so
+// the build really happens here, whatever ran before and under -count.
+func TestTwiddleFirstUseConcurrent(t *testing.T) {
+	const lg = 15
+	twiddleTables[lg].once, twiddleTables[lg].w = sync.Once{}, nil
+	rng := rand.New(rand.NewSource(32))
+	in := randComplex(rng, 1<<lg)
+	want := append([]complex64(nil), in...)
+	refFFT(want, false)
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := append([]complex64(nil), in...)
+			<-start
+			if err := FFTInPlace(x); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range x {
+				if x[i] != want[i] {
+					t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestFFTSteadyStateAllocs: after the first call of a size the
+// transforms allocate nothing — no table rebuild, no per-call slice.
+func TestFFTSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{128, 256, 1024} {
+		x, x64 := randComplex(rng, n), randComplex128(rng, n)
+		for _, inverse := range []bool{false, true} {
+			run := func() {
+				_ = fftInPlace(x, inverse)
+				_ = fft64InPlace(x64, inverse)
+			}
+			run()
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Errorf("n=%d inverse=%v: %v allocs per FFT+FFT64 pair, want 0", n, inverse, allocs)
+			}
+		}
+	}
+}
+
+func BenchmarkFFT(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{128, 256, 1024, 4096} {
+		src := randComplex(rng, n)
+		x := make([]complex64, n)
+		for _, dir := range []struct {
+			name    string
+			inverse bool
+		}{{"fwd", false}, {"inv", true}} {
+			b.Run(fmt.Sprintf("%d/%s", n, dir.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(x, src)
+					_ = fftInPlace(x, dir.inverse)
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkFFT64(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src := randComplex128(rng, 1024)
+	x := make([]complex128, len(src))
+	b.Run("1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(x, src)
+			_ = FFT64InPlace(x)
+		}
+	})
 }
 
 func BenchmarkDFTNaive256(b *testing.B) {
