@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test lint sharing-report race fuzz serve-smoke bench bench-check benchfull experiments benchmark benchmark-test benchmark-compare
+.PHONY: check fmt vet build test lint loc sharing-report race fuzz serve-smoke bench bench-check benchfull experiments benchmark benchmark-test benchmark-compare
 
 # Inside `make check`, a missing-dependency lint probe downgrades to a
 # loud skip (exit 0) so the rest of the gate still runs; standalone
@@ -56,6 +56,16 @@ lint:
 		echo "$$err" >&2; exit $$status; \
 	fi; \
 	$(GO) run ./cmd/repolint ./...
+
+# Non-test LOC per package, the number ROADMAP aim 2 tracks: one line
+# per directory under internal/ and cmd/ holding Go source, plain
+# `wc -l` over its *.go files minus *_test.go (testdata/ excluded),
+# sorted by path. Quote these in CHANGES.md, not hand counts.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec dirname {} + | sort -u | \
+	while read -r d; do \
+		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
+	done
 
 # Regenerate the PDES sharing baseline (the sharedmut analyzer's
 # inventory of package-level mutable state across the simulation

@@ -114,6 +114,19 @@ type Arrival struct {
 	At   vtime.Time
 }
 
+// traceSource is batch Run's ArrivalSource: the scratch-backed copy of
+// the trace, already sorted and validated, consumed from the front.
+type traceSource []Arrival
+
+func (t *traceSource) Next() (Arrival, bool) {
+	if len(*t) == 0 {
+		return Arrival{}, false
+	}
+	a := (*t)[0]
+	*t = (*t)[1:]
+	return a, true
+}
+
 // Emulator runs one emulation: it owns the virtual clock, the resource
 // handlers, and the statistics collector.
 type Emulator struct {
@@ -127,46 +140,50 @@ type Emulator struct {
 	// the handler table never changes, so the per-invocation rebuild
 	// the pre-indexed emulator did was pure waste.
 	peViews []sched.PE
-	// view is the incrementally maintained indexed scheduler state
-	// (per-class idle bitmaps, per-PE load/availability, the ready list
-	// with compiled metadata). nil only for configurations outside the
-	// index's representation (> 64 interned cost classes), which fall
-	// back to per-invocation slice rebuilds.
+	// view is the incrementally maintained scheduler state (per-class
+	// idle bitmaps, per-PE load/availability, the ready list with
+	// compiled metadata): the one ready list of every configuration.
 	view *sched.View
+	// indexed is set once, in New: the policy implements
+	// sched.IndexedPolicy and the view is Indexed (at most 64 cost
+	// classes), so invocations go through ScheduleIndexed. Otherwise the
+	// policy gets view.Ready() and peViews.
+	indexed sched.IndexedPolicy
 	// schedPath names the scheduling path this emulator resolved to at
 	// construction (SchedulerPath* constants): which ready-list and
 	// policy machinery every Run uses. Exposed through SchedulerPath()
 	// and stamped into each report, so a configuration that silently
 	// misses the fast path is visible instead of just slow.
 	schedPath string
-	// streamed marks that the last Run went through RunStream, whose
-	// instance recycling makes Instances() meaningless (it would always
-	// be empty): reading it then is a loud error, not a silent nil.
+	// streamed marks that the last run went through RunStream: finished
+	// instances are recycled through freeInst instead of retained, which
+	// makes Instances() meaningless (it would always be empty) — reading
+	// it then is a loud error, not a silent nil.
 	streamed bool
 	// programs memoises this emulator's (config, registry) view of the
 	// template cache per spec, so the per-arrival lookup in Run is one
 	// map probe without cache locking.
 	programs map[*appmodel.AppSpec]*Program
 
-	// ready backs the no-view fallback only (configurations with > 64
-	// interned cost classes): a plain slice with filter compaction. When a
-	// view exists, the view's deque is the one and only ready list.
-	ready     []*Task
-	instances []*AppInstance
-	// nextIdx is the next not-yet-injected entry of instances (slice
-	// runs only).
-	nextIdx int
-
-	// Streaming-run state (RunStream): the arrival source, a one-entry
-	// lookahead, the arrival sequence counter, and per-program free
-	// lists of recycled instances. Completed instances return to the
-	// free list, so peak memory follows the in-flight instance count
-	// rather than the workload length.
+	// Arrival state, one path for both entry points: the source, a
+	// one-entry lookahead, and the arrival sequence counter (the next
+	// instance's Index).
 	src         ArrivalSource
 	pending     Arrival
 	havePending bool
 	arrivalSeq  int
-	freeInst    map[*Program][]*AppInstance
+	// Batch runs (Run) retain their instances: trace is the source,
+	// taskSlab and instSlab are the not-yet-stamped remainders of the
+	// scratch slabs Run sized for the whole trace, and instances lists
+	// what has been injected, in injection order.
+	trace     traceSource
+	taskSlab  []Task
+	instSlab  []AppInstance
+	instances []*AppInstance
+	// Streamed runs (RunStream) recycle theirs: completed instances
+	// return to per-program free lists, so peak memory follows the
+	// in-flight instance count rather than the workload length.
+	freeInst map[*Program][]*AppInstance
 
 	// platEvents is Options.Events sorted into application order;
 	// evCursor walks it once per run (reset by beginRun).
@@ -189,22 +206,17 @@ type Emulator struct {
 }
 
 // SchedulerPath values: which scheduling machinery an emulator's runs
-// use. The distinction used to be invisible — a configuration past the
-// index's representation silently fell back to per-invocation slice
-// rebuilds — so the resolved path is now exposed on the emulator and
-// stamped into every report.
+// use. Exposed on the emulator and stamped into every report, so a
+// configuration that misses the fast path is visible instead of just
+// slow. Either way the view maintains the ready list incrementally.
 const (
-	// SchedulerPathIndexed: indexed view + the policy's ScheduleIndexed
-	// fast path — the intended steady state for every built-in policy.
+	// SchedulerPathIndexed: the policy's ScheduleIndexed fast path over
+	// the view — the intended steady state for every built-in policy.
 	SchedulerPathIndexed = "indexed"
-	// SchedulerPathSlice: the view maintains the ready list
-	// incrementally, but the policy (third-party, or wrapped in
-	// sched.SliceOnly) consumes slice views.
+	// SchedulerPathSlice: the policy consumes slice views — it is
+	// third-party or wrapped in sched.SliceOnly, or the configuration
+	// (with its DVFS steps) interns more than 64 cost classes.
 	SchedulerPathSlice = "slice"
-	// SchedulerPathSliceRebuild: no indexed view at all (> 64 interned
-	// cost classes, or a PE without a valid TypeID); ready views are
-	// rebuilt per invocation.
-	SchedulerPathSliceRebuild = "slice-rebuild"
 )
 
 // New validates the options and builds an emulator. Degenerate
@@ -253,41 +265,35 @@ func New(opts Options) (*Emulator, error) {
 			typeIdx: int32(opts.Config.TypeIndex(pe.Type.Key)),
 			speed:   pe.Type.SpeedFactor,
 		}
+		if h.typeIdx < 0 {
+			// A PE appended after the configuration interned its keys:
+			// every per-type table would be indexed at -1.
+			return nil, fmt.Errorf("core: configuration %s: PE %d has type key %q the configuration never interned",
+				opts.Config.Name, i, pe.Type.Key)
+		}
 		e.handlers = append(e.handlers, h)
 		e.peViews = append(e.peViews, h)
 	}
 	e.view = sched.NewView(e.peViews)
 	e.platEvents = opts.Events.Events()
-	if e.view != nil {
-		// Pre-intern every DVFS target signature: the event schedule is
-		// known now, so the view's class table is complete (and stable
-		// across runs) before the first task is compiled against it. A
-		// schedule that pushes past the 64-class ceiling drops the whole
-		// emulator to the slice-rebuild path — observable below via
-		// SchedulerPath, never a mid-run surprise.
-		for _, ev := range e.platEvents {
-			if ev.Kind != platevent.SetSpeed {
-				continue
-			}
+	// Pre-intern every DVFS target signature: the event schedule is
+	// known now, so the view's class table is complete (and stable
+	// across runs) before the first task is compiled against it — and
+	// whether it still fits the index is decided here, observable via
+	// SchedulerPath, never a mid-run surprise.
+	for _, ev := range e.platEvents {
+		if ev.Kind == platevent.SetSpeed {
 			h := e.handlers[ev.PE]
-			if e.view.InternClass(int32(h.TypeID()), ev.Speed, h.PowerW()) < 0 {
-				e.view = nil
-				break
-			}
+			e.view.InternClass(int32(h.TypeID()), ev.Speed, h.PowerW())
 		}
 	}
-	if e.view != nil && e.view.NumClasses() > opts.Config.NumClasses() {
+	if e.view.NumClasses() > opts.Config.NumClasses() {
 		e.dynMeta = make(map[*progNode]*sched.ReadyMeta)
 	}
-	switch {
-	case e.view == nil:
-		e.schedPath = SchedulerPathSliceRebuild
-	default:
-		if _, ok := opts.Policy.(sched.IndexedPolicy); ok {
-			e.schedPath = SchedulerPathIndexed
-		} else {
-			e.schedPath = SchedulerPathSlice
-		}
+	e.schedPath = SchedulerPathSlice
+	if ip, ok := opts.Policy.(sched.IndexedPolicy); ok && e.view.Indexed() {
+		e.indexed = ip
+		e.schedPath = SchedulerPathIndexed
 	}
 	return e, nil
 }
@@ -320,9 +326,7 @@ func (e *Emulator) program(spec *appmodel.AppSpec) (*Program, error) {
 func (e *Emulator) beginRun() *Scratch {
 	s := e.opts.Scratch
 	e.clock.Reset()
-	e.ready = s.ready[:0]
-	e.instances = nil
-	e.nextIdx = 0
+	e.taskSlab, e.instSlab, e.instances = nil, nil, nil
 	e.src = nil
 	e.havePending = false
 	e.arrivalSeq = 0
@@ -337,9 +341,7 @@ func (e *Emulator) beginRun() *Scratch {
 	for _, h := range e.handlers {
 		h.resetForRun()
 	}
-	if e.view != nil {
-		e.view.Reset()
-	}
+	e.view.Reset()
 	e.streamed = false
 	s.clearMasks()
 	s.events = s.events[:0]
@@ -354,19 +356,24 @@ func (e *Emulator) beginRun() *Scratch {
 	return s
 }
 
-// endRun hands the ready backing array and the realised task count
-// back to the scratch on every exit — error paths included — and
-// clears everything that must not outlive this run (see
-// Scratch.release). Stream free lists survive between runs: they are
-// bounded by the peak in-flight instance count and reference only
-// templates the emulator's program cache pins anyway, so retaining
-// them keeps back-to-back streamed runs allocation-free.
+// endRun hands the realised task count back to the scratch on every
+// exit — error paths included — and clears everything that must not
+// outlive this run (see Scratch.release). Stream free lists survive
+// between runs: they are bounded by the peak in-flight instance count
+// and reference only templates the emulator's program cache pins
+// anyway, so retaining them keeps back-to-back streamed runs
+// allocation-free.
 func (e *Emulator) endRun(s *Scratch) {
-	s.ready = e.ready[:0]
 	if e.opts.Sink == nil {
 		s.noteTaskCount(len(e.report.Tasks))
 	}
 	e.src = nil
+	// Slab slots a failed batch Run never reached must not keep pinning
+	// an earlier run's instances (nothing is left to clear after a
+	// complete or a streamed run).
+	clear(e.taskSlab)
+	clear(e.instSlab)
+	clear(e.instances[len(e.instances):cap(e.instances)])
 	s.release()
 }
 
@@ -388,18 +395,21 @@ func (e *Emulator) finishReport() *stats.Report {
 // Run executes the emulation for the given workload and returns the
 // collected statistics. Each Run starts a fresh clock and fresh state;
 // the same emulator may Run repeatedly and reuses its buffers.
+//
+// Every entry is validated and its application compiled before the
+// first event, so a bad trace fails before a Sink has seen a record.
+// Instances are stamped — and their Mem allocated — at injection, out
+// of slabs sized here for the whole trace. A configuration that (with
+// its DVFS steps) interns more than 64 cost classes runs, and reports,
+// SchedulerPathSlice.
 func (e *Emulator) Run(arrivals []Arrival) (*stats.Report, error) {
 	s := e.beginRun()
 	defer e.endRun(s)
 
-	// Initialisation phase, split compile/instantiate: resolve every
-	// workload entry's compiled template (cached parse-time work),
-	// then stamp instances into one contiguous task slab. The sorted
-	// copy lives in scratch; it is consumed during instantiation and
-	// never escapes.
+	// The sorted copy lives in scratch; the loop consumes it through
+	// e.trace and it never escapes.
 	sorted := s.sortedArrivals(arrivals)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	progs := s.programSlots(len(sorted))
 	totalTasks := 0
 	for i, a := range sorted {
 		if a.Spec == nil {
@@ -412,29 +422,12 @@ func (e *Emulator) Run(arrivals []Arrival) (*stats.Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		progs[i] = p
 		totalTasks += len(p.nodes)
 	}
-	taskSlab := s.taskSlots(totalTasks)
-	instSlab, instPtrs := s.instanceSlots(len(sorted))
-	off := 0
-	for i, a := range sorted {
-		prog := progs[i]
-		n := len(prog.nodes)
-		slab := taskSlab[off : off+n : off+n]
-		off += n
-		inst := &instSlab[i]
-		if err := e.stampInstance(inst, a.Spec, a.At, i, prog, slab); err != nil {
-			return nil, err
-		}
-		instPtrs[i] = inst
-	}
-	e.instances = instPtrs
-
-	if err := e.loop(); err != nil {
-		return nil, err
-	}
-	return e.finishReport(), nil
+	e.taskSlab = s.taskSlots(totalTasks)
+	e.instSlab, e.instances = s.instanceSlots(len(sorted))
+	e.trace = sorted
+	return e.run(&e.trace)
 }
 
 // RunStream executes the emulation against an arrival stream instead
@@ -459,6 +452,12 @@ func (e *Emulator) RunStream(src ArrivalSource) (*stats.Report, error) {
 	s := e.beginRun()
 	defer e.endRun(s)
 	e.streamed = true
+	return e.run(src)
+}
+
+// run drives one emulation off an arrival source — the single path
+// behind Run and RunStream.
+func (e *Emulator) run(src ArrivalSource) (*stats.Report, error) {
 	e.src = src
 	if err := e.advancePending(); err != nil {
 		return nil, err
@@ -492,25 +491,48 @@ func (e *Emulator) advancePending() error {
 	return nil
 }
 
-// stampInstance initialises one application instance in place: the
-// header, the optional variable memory (skipped on timing-only runs —
-// memory initialisation is per-instance work and cannot be compiled
-// away), and every task of the slab. Both instantiation paths (batch
-// Run and RunStream) go through it, so the byte-for-byte equivalence
-// contract between them cannot drift.
-func (e *Emulator) stampInstance(inst *AppInstance, spec *appmodel.AppSpec, at vtime.Time, idx int, prog *Program, tasks []Task) error {
+// instantiate stamps the next arrival into an instance: the header,
+// the optional variable memory (skipped on timing-only runs — memory
+// initialisation is per-instance work and cannot be compiled away), and
+// every task. A batch run takes the next segment of its slabs and
+// retains the instance; a streamed run reuses a recycled instance of
+// the same compiled template when one is free. Everything else is
+// shared, so the byte-for-byte equivalence of Run and RunStream cannot
+// drift.
+func (e *Emulator) instantiate(a Arrival) (*AppInstance, error) {
+	prog, err := e.program(a.Spec)
+	if err != nil {
+		return nil, err
+	}
+	n := len(prog.nodes)
+	var inst *AppInstance
+	var tasks []Task
+	if !e.streamed {
+		inst, e.instSlab = &e.instSlab[0], e.instSlab[1:]
+		tasks, e.taskSlab = e.taskSlab[:n:n], e.taskSlab[n:]
+		e.instances = append(e.instances, inst)
+	} else if free := e.freeInst[prog]; len(free) > 0 {
+		inst = free[len(free)-1]
+		free[len(free)-1] = nil
+		e.freeInst[prog] = free[:len(free)-1]
+		tasks = inst.Tasks
+	} else {
+		tasks = make([]Task, n)
+		inst = new(AppInstance)
+	}
 	*inst = AppInstance{
-		Spec:      spec,
-		Index:     idx,
-		Arrival:   at,
+		Spec:      a.Spec,
+		Index:     e.arrivalSeq,
+		Arrival:   a.At,
 		Tasks:     tasks,
 		prog:      prog,
-		remaining: len(prog.nodes),
+		remaining: n,
 	}
+	e.arrivalSeq++
 	if !e.opts.SkipExecution {
-		mem, err := appmodel.NewMemory(spec)
+		mem, err := appmodel.NewMemory(a.Spec)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		inst.Mem = mem
 	}
@@ -523,29 +545,6 @@ func (e *Emulator) stampInstance(inst *AppInstance, spec *appmodel.AppSpec, at v
 			remainingPreds: nd.preds,
 		}
 	}
-	return nil
-}
-
-// instantiateStream stamps one streamed arrival into an instance,
-// reusing a recycled slab of the same compiled template when one is
-// free.
-func (e *Emulator) instantiateStream(a Arrival) (*AppInstance, error) {
-	prog, err := e.program(a.Spec)
-	if err != nil {
-		return nil, err
-	}
-	var inst *AppInstance
-	if free := e.freeInst[prog]; len(free) > 0 {
-		inst = free[len(free)-1]
-		free[len(free)-1] = nil
-		e.freeInst[prog] = free[:len(free)-1]
-	} else {
-		inst = &AppInstance{Tasks: make([]Task, len(prog.nodes))}
-	}
-	if err := e.stampInstance(inst, a.Spec, a.At, e.arrivalSeq, prog, inst.Tasks); err != nil {
-		return nil, err
-	}
-	e.arrivalSeq++
 	return inst, nil
 }
 
@@ -558,17 +557,7 @@ func (e *Emulator) instantiateStream(a Arrival) (*AppInstance, error) {
 func (e *Emulator) pushEvent(at vtime.Time, h int32) {
 	s := e.opts.Scratch
 	s.events = append(s.events, peEvent{at: at, h: h})
-	// Sift up. Ties break on handler index for full determinism.
-	ev := s.events
-	i := len(ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if ev[parent].at < ev[i].at || (ev[parent].at == ev[i].at && ev[parent].h < ev[i].h) {
-			break
-		}
-		ev[parent], ev[i] = ev[i], ev[parent]
-		i = parent
-	}
+	siftUp(s.events, len(s.events)-1)
 }
 
 // peekEvent returns the earliest pending completion instant.
@@ -588,28 +577,13 @@ func (e *Emulator) popEventsDue(now vtime.Time) []int32 {
 	due := s.due[:0]
 	for len(s.events) > 0 && s.events[0].at <= now {
 		due = append(due, s.events[0].h)
-		// Standard binary-heap pop with sift-down.
-		ev := s.events
-		n := len(ev) - 1
-		ev[0] = ev[n]
-		s.events = ev[:n]
-		ev = s.events
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			min := i
-			if l < n && (ev[l].at < ev[min].at || (ev[l].at == ev[min].at && ev[l].h < ev[min].h)) {
-				min = l
-			}
-			if r < n && (ev[r].at < ev[min].at || (ev[r].at == ev[min].at && ev[r].h < ev[min].h)) {
-				min = r
-			}
-			if min == i {
-				break
-			}
-			ev[i], ev[min] = ev[min], ev[i]
-			i = min
-		}
+		// Once per completion, so the pop stays in line here: routed
+		// through a remove-at-i helper shared with removeEvent it read
+		// 1.4% slower on the churn-het benchmark workload.
+		n := len(s.events) - 1
+		s.events[0] = s.events[n]
+		s.events = s.events[:n]
+		siftDown(s.events, 0)
 	}
 	slices.Sort(due)
 	s.due = due
@@ -622,46 +596,18 @@ func (e *Emulator) popEventsDue(now vtime.Time) []int32 {
 // in the running-PE count, paid only on actual faults.
 func (e *Emulator) removeEvent(h int32) {
 	s := e.opts.Scratch
-	ev := s.events
-	for i := range ev {
-		if ev[i].h != h {
+	for i := range s.events {
+		if s.events[i].h != h {
 			continue
 		}
-		n := len(ev) - 1
-		ev[i] = ev[n]
-		s.events = ev[:n]
-		ev = s.events
-		if i == n {
-			return
-		}
-		less := func(a, b peEvent) bool {
-			return a.at < b.at || (a.at == b.at && a.h < b.h)
-		}
-		// Restore the heap around the moved entry: sift down, and if it
-		// did not move, sift up.
-		j := i
-		for {
-			l, r := 2*j+1, 2*j+2
-			min := j
-			if l < n && less(ev[l], ev[min]) {
-				min = l
-			}
-			if r < n && less(ev[r], ev[min]) {
-				min = r
-			}
-			if min == j {
-				break
-			}
-			ev[j], ev[min] = ev[min], ev[j]
-			j = min
-		}
-		for j > 0 {
-			parent := (j - 1) / 2
-			if less(ev[parent], ev[j]) {
-				break
-			}
-			ev[parent], ev[j] = ev[j], ev[parent]
-			j = parent
+		// The last entry takes the hole and sifts whichever way its key
+		// demands.
+		n := len(s.events) - 1
+		s.events[i] = s.events[n]
+		s.events = s.events[:n]
+		if i < n {
+			siftDown(s.events, i)
+			siftUp(s.events, i)
 		}
 		return
 	}
@@ -719,9 +665,7 @@ func (e *Emulator) faultPE(pi int, now vtime.Time) {
 	}
 	h.status = StatusFaulted
 	h.busyUntil = 0
-	if e.view != nil {
-		e.view.FaultPE(pi)
-	}
+	e.view.FaultPE(pi)
 }
 
 // requeue returns a fault-orphaned task to the ready list as of now.
@@ -746,9 +690,7 @@ func (e *Emulator) restorePE(pi int) {
 	h.faulted = false
 	h.status = StatusIdle
 	h.busyUntil = 0
-	if e.view != nil {
-		e.view.RestorePE(pi)
-	}
+	e.view.RestorePE(pi)
 }
 
 // setSpeed applies a DVFS step: the handler's speed factor changes and
@@ -757,21 +699,12 @@ func (e *Emulator) restorePE(pi int) {
 func (e *Emulator) setSpeed(pi int, speed float64) {
 	h := e.handlers[pi]
 	h.speed = speed
-	if e.view != nil {
-		e.view.SetClass(pi, e.view.InternClass(int32(h.TypeID()), speed, h.PowerW()))
-	}
+	e.view.SetClass(pi, e.view.InternClass(int32(h.TypeID()), speed, h.PowerW()))
 }
 
-// pushReady appends a task to the ready list. With an indexed view
-// the view's deque IS the ready list (one structure, one compaction);
-// the emulator-owned slice only backs the no-view fallback.
-func (e *Emulator) pushReady(t *Task) {
-	if e.view != nil {
-		e.view.PushReady(t, e.metaOf(t))
-		return
-	}
-	e.ready = append(e.ready, t)
-}
+// pushReady appends a task to the ready list: the view's deque (one
+// structure, one compaction).
+func (e *Emulator) pushReady(t *Task) { e.view.PushReady(t, e.metaOf(t)) }
 
 // metaOf resolves the ready metadata pushed with a task: the compiled
 // per-node record, unless DVFS pre-interning extended the class table
@@ -792,32 +725,6 @@ func (e *Emulator) metaOf(t *Task) *sched.ReadyMeta {
 	return m
 }
 
-// readyLen is the live ready count.
-func (e *Emulator) readyLen() int {
-	if e.view != nil {
-		return e.view.ReadyLen()
-	}
-	return len(e.ready)
-}
-
-// consumeReady applies a scheduling batch's removals to the fallback
-// ready slice with a plain order-preserving filter. The fallback is a
-// cold path (exotic > 64-class configurations only), so it keeps the
-// simplest correct shape; the performance-bearing equivalent for
-// view-backed runs is View.CompactReady's prefix-consuming deque.
-func (e *Emulator) consumeReady(remove []bool) {
-	kept := e.ready[:0]
-	for i, t := range e.ready {
-		if !remove[i] {
-			kept = append(kept, t)
-		}
-	}
-	for i := len(kept); i < len(e.ready); i++ {
-		e.ready[i] = nil // dropped slots must not pin instance slabs
-	}
-	e.ready = kept
-}
-
 // injectInstance marks the instance injected at now and appends its
 // head tasks to the ready list.
 func (e *Emulator) injectInstance(inst *AppInstance, now vtime.Time) {
@@ -829,21 +736,12 @@ func (e *Emulator) injectInstance(inst *AppInstance, now vtime.Time) {
 	}
 }
 
-// injectDue injects every workload entry due at or before now —
-// pre-instantiated instances on a slice run, lazily instantiated ones
-// on a streamed run — and reports whether anything was injected.
+// injectDue instantiates and injects every arrival due at or before
+// now, and reports whether anything was injected.
 func (e *Emulator) injectDue(now vtime.Time) (bool, error) {
 	any := false
-	if e.src == nil {
-		for e.nextIdx < len(e.instances) && e.instances[e.nextIdx].Arrival <= now {
-			e.injectInstance(e.instances[e.nextIdx], now)
-			e.nextIdx++
-			any = true
-		}
-		return any, nil
-	}
 	for e.havePending && e.pending.At <= now {
-		inst, err := e.instantiateStream(e.pending)
+		inst, err := e.instantiate(e.pending)
 		if err != nil {
 			return any, err
 		}
@@ -854,21 +752,6 @@ func (e *Emulator) injectDue(now vtime.Time) (bool, error) {
 		any = true
 	}
 	return any, nil
-}
-
-// nextArrivalAt reports the next pending injection instant; ok=false
-// when the workload is exhausted.
-func (e *Emulator) nextArrivalAt() (vtime.Time, bool) {
-	if e.src == nil {
-		if e.nextIdx < len(e.instances) {
-			return e.instances[e.nextIdx].Arrival, true
-		}
-		return 0, false
-	}
-	if e.havePending {
-		return e.pending.At, true
-	}
-	return 0, false
 }
 
 // loop is the workload manager's execution flow (Figure 3) as a
@@ -903,9 +786,7 @@ func (e *Emulator) loop() error {
 			h.status = StatusComplete
 			e.completeTask(h, now)
 			completions++
-			if e.view != nil {
-				e.view.AddLoad(int(h.idx), -1)
-			}
+			e.view.AddLoad(int(h.idx), -1)
 			// Reservation-queue PEs pull their next task locally,
 			// without waiting for a scheduler invocation — the
 			// low-overhead dispatch the paper's future work targets.
@@ -915,9 +796,7 @@ func (e *Emulator) loop() error {
 				}
 			} else {
 				h.status = StatusIdle
-				if e.view != nil {
-					e.view.MarkIdle(int(h.idx))
-				}
+				e.view.MarkIdle(int(h.idx))
 			}
 		}
 		if completions > 0 {
@@ -933,7 +812,7 @@ func (e *Emulator) loop() error {
 		}
 
 		// Run the heuristic scheduler over the ready list.
-		if dirty && e.readyLen() > 0 {
+		if dirty && e.view.ReadyLen() > 0 {
 			if _, err := e.schedule(); err != nil {
 				return err
 			}
@@ -948,9 +827,8 @@ func (e *Emulator) loop() error {
 		// Advance the clock to the next event: the earlier of the next
 		// arrival and the tracked next completion.
 		nextEvent := vtime.Time(math.MaxInt64)
-		arrAt, morePending := e.nextArrivalAt()
-		if morePending {
-			nextEvent = arrAt
+		if e.havePending {
+			nextEvent = e.pending.At
 		}
 		anyRunning := false
 		if at, ok := e.peekEvent(); ok {
@@ -959,22 +837,16 @@ func (e *Emulator) loop() error {
 				nextEvent = at
 			}
 		}
-		if !anyRunning && !morePending {
-			if e.readyLen() == 0 {
+		if !anyRunning && !e.havePending {
+			if e.view.ReadyLen() == 0 {
 				// Emulation complete. Trailing platform events with
 				// nothing running, ready or arriving never apply — they
 				// cannot affect the makespan.
 				return nil
 			}
 			if e.evCursor >= len(e.platEvents) {
-				first := ""
-				if e.view != nil {
-					first = e.view.Ready()[0].Label()
-				} else {
-					first = e.ready[0].Label()
-				}
 				return fmt.Errorf("core: %d ready tasks cannot be scheduled on config %s (policy %s): first is %s",
-					e.readyLen(), e.opts.Config.Name, e.opts.Policy.Name(), first)
+					e.view.ReadyLen(), e.opts.Config.Name, e.opts.Policy.Name(), e.view.Ready()[0].Label())
 			}
 			// Ready tasks are stranded (their capable PEs faulted or
 			// capped away), but platform events remain: one may free
@@ -1004,29 +876,17 @@ func (e *Emulator) loop() error {
 func (e *Emulator) schedule() (bool, error) {
 	now := e.clock.Now()
 	s := e.opts.Scratch
+	// Indexed policies consume the view's per-class idle bitmaps
+	// directly; everything else gets the incrementally maintained ready
+	// slice plus the fixed PE table — either way, nothing is rebuilt per
+	// invocation.
 	var res sched.Result
-	if e.view != nil {
-		// The maintained view: indexed policies consume the per-type
-		// idle bitmaps directly; everything else gets the incrementally
-		// maintained ready slice plus the fixed PE table — either way,
-		// nothing is rebuilt per invocation.
-		if ip, ok := e.opts.Policy.(sched.IndexedPolicy); ok {
-			res = ip.ScheduleIndexed(now, e.view)
-		} else {
-			res = e.opts.Policy.Schedule(now, e.view.Ready(), e.peViews)
-		}
+	if e.indexed != nil {
+		res = e.indexed.ScheduleIndexed(now, e.view)
 	} else {
-		// Exotic configuration (> 64 interned cost classes): rebuild the ready
-		// view per invocation from scratch buffers. The Policy contract
-		// forbids retaining the slices, so the buffers are safe to
-		// reuse across invocations and across emulations.
-		readyViews := s.readyViews[:0]
-		for _, t := range e.ready {
-			readyViews = append(readyViews, t)
-		}
-		s.readyViews = readyViews
-		res = e.opts.Policy.Schedule(now, readyViews, e.peViews)
+		res = e.opts.Policy.Schedule(now, e.view.Ready(), e.peViews)
 	}
+	window := e.view.Ready()
 
 	ops := res.Ops + e.pendingMonitorOps + invocationBaseOps +
 		dispatchOpsPerTask*len(res.Assignments)
@@ -1035,9 +895,9 @@ func (e *Emulator) schedule() (bool, error) {
 	e.report.Sched.Invocations++
 	e.report.Sched.TotalOps += int64(ops)
 	e.report.Sched.OverheadNS += int64(overhead)
-	e.report.Sched.TotalReadyLn += int64(e.readyLen())
-	if e.readyLen() > e.report.Sched.MaxReadyLen {
-		e.report.Sched.MaxReadyLen = e.readyLen()
+	e.report.Sched.TotalReadyLn += int64(len(window))
+	if len(window) > e.report.Sched.MaxReadyLen {
+		e.report.Sched.MaxReadyLen = len(window)
 	}
 	if err := e.clock.Advance(overhead); err != nil {
 		return false, err
@@ -1055,30 +915,17 @@ func (e *Emulator) schedule() (bool, error) {
 	// paths abort the run, and beginRun re-clears defensively).
 	// Assignment TaskIndex values are window-relative, like the view
 	// the policy saw.
-	var window []*Task
-	var viewWin []sched.Task
-	if e.view != nil {
-		viewWin = e.view.Ready()
-	} else {
-		window = e.ready
-	}
-	winLen := len(window) + len(viewWin)
 	taken := s.takenMask(len(e.handlers))
-	remove := s.removeMask(winLen)
+	remove := s.removeMask(len(window))
 	for _, a := range res.Assignments {
-		if a.TaskIndex < 0 || a.TaskIndex >= winLen || a.PEIndex < 0 || a.PEIndex >= len(e.handlers) {
+		if a.TaskIndex < 0 || a.TaskIndex >= len(window) || a.PEIndex < 0 || a.PEIndex >= len(e.handlers) {
 			return false, fmt.Errorf("core: policy %s produced out-of-range assignment %+v", e.opts.Policy.Name(), a)
 		}
 		if remove[a.TaskIndex] {
 			return false, fmt.Errorf("core: policy %s assigned task %d twice", e.opts.Policy.Name(), a.TaskIndex)
 		}
 		h := e.handlers[a.PEIndex]
-		var t *Task
-		if viewWin != nil {
-			t = viewWin[a.TaskIndex].(*Task)
-		} else {
-			t = window[a.TaskIndex]
-		}
+		t := window[a.TaskIndex].(*Task)
 		if t.node.choiceByType[h.typeIdx] < 0 {
 			return false, fmt.Errorf("core: policy %s sent %s to unsupported PE %s",
 				e.opts.Policy.Name(), t.Label(), h.PE.Label())
@@ -1103,17 +950,11 @@ func (e *Emulator) schedule() (bool, error) {
 			}
 			taken[a.PEIndex] = true
 		}
-		if e.view != nil {
-			// One task handed to the handler, dispatched or reserved.
-			e.view.AddLoad(a.PEIndex, 1)
-		}
+		// One task handed to the handler, dispatched or reserved.
+		e.view.AddLoad(a.PEIndex, 1)
 		remove[a.TaskIndex] = true
 	}
-	if e.view != nil {
-		e.view.CompactReady(remove, len(res.Assignments))
-	} else {
-		e.consumeReady(remove)
-	}
+	e.view.CompactReady(remove, len(res.Assignments))
 	// Restore the masks' all-false invariant at O(batch).
 	for _, a := range res.Assignments {
 		remove[a.TaskIndex] = false
@@ -1163,10 +1004,8 @@ func (e *Emulator) dispatch(t *Task, h *ResourceHandler, now vtime.Time) error {
 	h.current = t
 	h.status = StatusRun
 	h.busyUntil = t.end
-	if e.view != nil {
-		e.view.MarkBusy(int(h.idx))
-		e.view.SetAvail(int(h.idx), t.end)
-	}
+	e.view.MarkBusy(int(h.idx))
+	e.view.SetAvail(int(h.idx), t.end)
 	e.pushEvent(t.end, h.idx)
 	return nil
 }
@@ -1257,9 +1096,10 @@ func (e *Emulator) completeTask(h *ResourceHandler, now vtime.Time) {
 		} else {
 			e.report.Apps = append(e.report.Apps, app)
 		}
-		if e.src != nil {
+		if e.streamed {
 			// Streamed runs recycle the finished instance: every task
 			// is complete, so no live pointer into its slab remains.
+			// Batch instances stay: Instances() exposes their memory.
 			inst.Mem = nil
 			if e.freeInst == nil {
 				e.freeInst = make(map[*Program][]*AppInstance)
@@ -1280,9 +1120,11 @@ func (e *Emulator) completeTask(h *ResourceHandler, now vtime.Time) {
 // Handlers exposes the resource handlers for tests.
 func (e *Emulator) Handlers() []*ResourceHandler { return e.handlers }
 
-// Instances exposes the instantiated applications of the last Run so
-// callers can inspect final variable memory (functional verification).
-// The instances are backed by the emulator's Scratch: they stay valid
+// Instances exposes the instantiated applications of the last Run, in
+// injection order, so callers can inspect final variable memory
+// (functional verification). Instances are stamped at injection, so
+// after a failed Run the list holds only what had been injected. The
+// instances are backed by the emulator's Scratch: they stay valid
 // until the next Run against the same Scratch (for the default private
 // scratch, until this emulator's next Run).
 //

@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/appmodel"
 	"repro/internal/apps"
+	"repro/internal/kernels"
 	"repro/internal/platform"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/vtime"
 )
 
@@ -324,6 +326,78 @@ func TestNegativeArrivalRejected(t *testing.T) {
 	}
 	if _, err := emulator(t, zcu(t, 1, 0), "frfs").Run([]Arrival{{}}); err == nil {
 		t.Fatal("nil spec accepted")
+	}
+}
+
+// TestRunBadEntryFailsBeforeSink pins Run's up-front validation now that
+// instances are stamped lazily, at injection: a trace whose LAST-arriving
+// entry is bad — no application, or one that cannot compile — fails
+// before the first event, so the sink sees no record and no kernel runs,
+// instead of erroring 199 applications in.
+func TestRunBadEntryFailsBeforeSink(t *testing.T) {
+	good := apps.WiFiTX(apps.DefaultWiFiParams())
+	// A registry holding good's kernels behind a call counter.
+	calls := 0
+	reg := kernels.NewRegistry()
+	for _, node := range good.DAG { //repolint:allow detorder registration order is immaterial: the registry is a map
+		for _, plat := range node.Platforms {
+			so := plat.SharedObject
+			if so == "" {
+				so = good.SharedObject
+			}
+			f, err := apps.Registry().Lookup(so, plat.RunFunc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Nodes share kernels; the refused duplicate is already counted.
+			_ = reg.Register(so, plat.RunFunc, func(ctx *kernels.Context) error {
+				calls++
+				return f(ctx)
+			})
+		}
+	}
+	ghost := apps.RangeDetection(apps.DefaultRangeParams())
+	n := ghost.DAG["MAX"]
+	n.Platforms = []appmodel.PlatformSpec{{Name: "cpu", RunFunc: "ghost_func", CostNS: 10}}
+	ghost.DAG["MAX"] = n
+
+	for _, bad := range []*appmodel.AppSpec{nil, ghost} {
+		name := "uncompilable spec"
+		if bad == nil {
+			name = "nil spec"
+		}
+		// The bad entry leads the slice but arrives last.
+		trace := []Arrival{{Spec: bad, At: 200_000_000}}
+		for i := 0; i < 199; i++ {
+			trace = append(trace, Arrival{Spec: good, At: vtime.Time(i) * 1_000_000})
+		}
+		sink := &stats.FullReport{}
+		calls = 0
+		e, err := New(Options{
+			Config: zcu(t, 2, 1), Policy: sched.FRFS{}, Registry: reg, Seed: 1,
+			Sink: sink, Programs: NewProgramCache(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(trace); err == nil {
+			t.Fatalf("%s: Run accepted the trace", name)
+		}
+		if len(sink.Tasks) != 0 || len(sink.Apps) != 0 || calls != 0 {
+			t.Fatalf("%s: Run failed after %d task records, %d app records, %d kernel calls; want none",
+				name, len(sink.Tasks), len(sink.Apps), calls)
+		}
+		if got := e.Instances(); len(got) != 0 {
+			t.Fatalf("%s: failed Run lists %d instances", name, len(got))
+		}
+		// The same emulator still runs the good part of the trace.
+		if _, err := e.Run(trace[1:]); err != nil {
+			t.Fatalf("%s: good trace after the failure: %v", name, err)
+		}
+		if len(sink.Apps) != 199 || calls == 0 || len(e.Instances()) != 199 {
+			t.Fatalf("%s: good trace delivered %d apps, %d kernel calls, %d instances",
+				name, len(sink.Apps), calls, len(e.Instances()))
+		}
 	}
 }
 

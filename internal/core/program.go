@@ -64,8 +64,9 @@ type progNode struct {
 	// meta is the indexed-scheduler metadata (compatible-class bitmask,
 	// MET's best classes, per-class scaled costs, choice count) lowered
 	// over the configuration's cost classes (platform.Config.Classes).
-	// Valid only when the configuration interns at most 64 classes; the
-	// emulator doesn't build an indexed view otherwise.
+	// Lowered only when the configuration interns at most 64 classes;
+	// past that the view is not Indexed and no policy reads it (the
+	// zero value still rides along with every ready push).
 	meta sched.ReadyMeta
 	// dataBytes is the node's per-direction DMA volume
 	// (AppSpec.DataBytes), precomputed.

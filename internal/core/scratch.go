@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/vtime"
 )
@@ -16,15 +15,51 @@ type peEvent struct {
 	h  int32
 }
 
+// less orders events by (at, handler index). A running handler has one
+// pending event, so keys are unique and pop order is a property of the
+// keys, not of how the heap happens to be arranged.
+func (a peEvent) less(b peEvent) bool { return a.at < b.at || (a.at == b.at && a.h < b.h) }
+
+// siftUp restores the heap after entry i's key decreased (or it is new).
+func siftUp(ev []peEvent, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if ev[parent].less(ev[i]) {
+			return
+		}
+		ev[parent], ev[i] = ev[i], ev[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the heap after entry i's key increased.
+func siftDown(ev []peEvent, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < len(ev) && ev[l].less(ev[min]) {
+			min = l
+		}
+		if r < len(ev) && ev[r].less(ev[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		ev[i], ev[min] = ev[min], ev[i]
+		i = min
+	}
+}
+
 // Scratch holds the emulator's reusable working buffers: the sorted
-// arrival queue, the ready list, the per-invocation scheduler views
-// and assignment masks, the completion-event heap, the task and
-// instance slabs, and a capacity hint for the report's task records.
-// The report is the only per-Run memory that escapes (the sched.Policy
-// contract forbids retaining the view slices), so a Scratch can be
-// handed from one emulation to the next — the sweep engine keeps one
-// per worker in a sync.Pool so large grids stop paying the allocation
-// cost of instantiation and the scheduler hot path on every cell.
+// arrival queue, the per-invocation assignment masks, the
+// completion-event heap, the task and instance slabs, and a capacity
+// hint for the report's task records. (The ready list lives in the
+// emulator's sched.View.) The report is the only per-Run memory that
+// escapes, so a Scratch can be handed from one emulation to the next —
+// the sweep engine keeps one per worker in a sync.Pool so large grids
+// stop paying the allocation cost of instantiation and the scheduler
+// hot path on every cell.
 //
 // Buffer ownership: during a Run the emulator owns every buffer. On
 // exit, release() clears the transient buffers and the unused capacity
@@ -37,15 +72,7 @@ type peEvent struct {
 // run against it at a time.
 type Scratch struct {
 	arrivals []Arrival
-	ready    []*Task
-	// readyViews backs the per-invocation ready rebuild of the
-	// no-indexed-view fallback (configurations with > 64 interned
-	// types); emulators with a view maintain the ready slice
-	// incrementally instead.
-	readyViews []sched.Task
 
-	// progs holds the per-arrival compiled template during Run setup.
-	progs []*Program
 	// tasks is the instantiation slab: every task of every instance of
 	// one Run, contiguous, sliced per instance.
 	tasks []Task
@@ -80,15 +107,6 @@ func (s *Scratch) sortedArrivals(arrivals []Arrival) []Arrival {
 	return s.arrivals
 }
 
-// programSlots returns a length-n template slot table.
-func (s *Scratch) programSlots(n int) []*Program {
-	if cap(s.progs) < n {
-		s.progs = make([]*Program, n)
-	}
-	s.progs = s.progs[:n]
-	return s.progs
-}
-
 // taskSlots returns the length-n task slab for this Run. Contents are
 // stale until the caller overwrites them; instantiation writes every
 // element.
@@ -100,8 +118,9 @@ func (s *Scratch) taskSlots(n int) []Task {
 	return s.tasks
 }
 
-// instanceSlots returns the length-n instance slab and pointer table
-// for this Run.
+// instanceSlots returns the length-n instance slab for this Run and
+// its pointer table, empty with room for n: the emulator appends each
+// instance as it is injected.
 func (s *Scratch) instanceSlots(n int) ([]AppInstance, []*AppInstance) {
 	if cap(s.instances) < n {
 		s.instances = make([]AppInstance, n)
@@ -111,7 +130,7 @@ func (s *Scratch) instanceSlots(n int) ([]AppInstance, []*AppInstance) {
 		s.instPtrs = make([]*AppInstance, n)
 	}
 	s.instPtrs = s.instPtrs[:n]
-	return s.instances, s.instPtrs
+	return s.instances, s.instPtrs[:0]
 }
 
 // boolMask returns a length-n all-false mask backed by *buf. It does
@@ -172,9 +191,6 @@ func (s *Scratch) noteTaskCount(n int) {
 // last emulation's state.
 func (s *Scratch) release() {
 	clear(s.arrivals[:cap(s.arrivals)])
-	clear(s.ready[:cap(s.ready)])
-	clear(s.readyViews[:cap(s.readyViews)])
-	clear(s.progs[:cap(s.progs)])
 	clear(s.tasks[len(s.tasks):cap(s.tasks)])
 	clear(s.instances[len(s.instances):cap(s.instances)])
 	clear(s.instPtrs[len(s.instPtrs):cap(s.instPtrs)])

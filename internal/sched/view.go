@@ -213,7 +213,8 @@ type View struct {
 	// allClasses masks off ClassMask bits beyond the interned classes:
 	// a task may carry a mask for classes no PE of this view belongs to
 	// (fake scenarios, foreign masks); such bits mean "no candidate
-	// PEs" and are dropped before any per-class table is indexed.
+	// PEs" and are dropped before any per-class table is indexed. All
+	// ones from 64 classes up (a shift by >= 64 yields 0 in Go).
 	allClasses uint64
 	words      int // uint64 words per PE bitmap
 
@@ -278,10 +279,9 @@ type classSig struct {
 // NewView builds the indexed state over a fixed PE table, interning
 // the table's cost classes — distinct (TypeID, speed, power)
 // signatures in first-appearance order, the identical partition
-// platform.Config.Classes computes for the same PE sequence. It
-// returns nil when the configuration is outside the index's
-// representation (more than 64 interned classes, or a PE without a
-// valid TypeID); the caller then stays on the slice path entirely. The
+// platform.Config.Classes computes for the same PE sequence. Any number
+// of classes is accepted; past 64 the view is no longer Indexed. It
+// returns nil for an empty table or a PE without a valid TypeID. The
 // pes slice is retained and must stay valid and immutable for the
 // View's lifetime.
 func NewView(pes []PE) *View {
@@ -303,9 +303,6 @@ func NewView(pes []PE) *View {
 			}
 		}
 		if ci < 0 {
-			if len(classes) == 64 {
-				return nil
-			}
 			ci = len(classes)
 			classes = append(classes, sig)
 		}
@@ -341,6 +338,13 @@ func NewView(pes []PE) *View {
 
 // NumClasses reports how many cost classes the view interned.
 func (v *View) NumClasses() int { return v.numClasses }
+
+// Indexed reports whether the class table fits ReadyMeta's 64-bit class
+// masks. Only then may the view be handed to IndexedPolicy.ScheduleIndexed;
+// past 64 classes it still keeps the ready list and every per-PE and
+// per-class table (they just grow), and the owner calls Policy.Schedule
+// over Ready() and PEs().
+func (v *View) Indexed() bool { return v.numClasses <= 64 }
 
 // MetaFor derives the compiled metadata of a choice list against this
 // view's class interning — the same lowering core.Compile performs
@@ -489,20 +493,16 @@ func (v *View) SetClass(pi, ci int) {
 func (v *View) ClassOf(pi int) int { return int(v.peClass[pi]) }
 
 // InternClass finds or adds the cost class of signature (typeID, speed,
-// power), returning its index, or -1 when adding it would exceed the
-// 64-class representation ceiling — the caller must then abandon the
-// indexed path (slice-rebuild). New classes start with no members; PEs
-// migrate in through SetClass. Interned classes are permanent: they
-// survive Reset, so an emulator that pre-interns its DVFS steps sees
-// one stable class numbering across runs.
+// power), returning its index. A 65th class ends Indexed for good. New
+// classes start with no members; PEs migrate in through SetClass.
+// Interned classes are permanent: they survive Reset, so an emulator
+// that pre-interns its DVFS steps sees one stable class numbering
+// across runs.
 func (v *View) InternClass(typeID int32, speed, power float64) int {
 	for c := 0; c < v.numClasses; c++ {
 		if v.classType[c] == typeID && v.speed[c] == speed && v.power[c] == power {
 			return c
 		}
-	}
-	if v.numClasses == 64 {
-		return -1
 	}
 	c := v.numClasses
 	v.numClasses++

@@ -91,40 +91,46 @@ func TestViewSetClassOnFaultedPE(t *testing.T) {
 	}
 }
 
-// TestInternClassCeiling pins the 63/64 boundary of runtime interning:
-// a 63-class view accepts exactly one more signature and then refuses,
-// interned classes are deduplicated, and Reset keeps them while
-// restoring construction-time membership and clearing faults.
+// TestInternClassCeiling pins the 64/65 boundary of runtime interning:
+// a 63-class view interns a 64th signature and stays Indexed, the 65th
+// gets index 64 and ends Indexed, interned classes are deduplicated, and
+// Reset keeps them (and the lost Indexed) while restoring
+// construction-time membership and clearing faults.
 func TestInternClassCeiling(t *testing.T) {
 	v := NewView(speedClassedPEs(63))
 	if v == nil || v.NumClasses() != 63 {
 		t.Fatal("63-class construction failed")
 	}
 	c64 := v.InternClass(int32(typeID("cpu")), 99, 99)
-	if c64 != 63 {
-		t.Fatalf("64th class interned as %d, want 63", c64)
+	if c64 != 63 || !v.Indexed() {
+		t.Fatalf("64th class interned as %d (indexed %v), want 63 indexed", c64, v.Indexed())
 	}
 	if again := v.InternClass(int32(typeID("cpu")), 99, 99); again != c64 {
 		t.Fatalf("re-interning the same signature gave %d, want %d", again, c64)
 	}
-	if v.InternClass(int32(typeID("cpu")), 100, 100) != -1 {
-		t.Fatal("65th class accepted past the representation ceiling")
+	c65 := v.InternClass(int32(typeID("cpu")), 100, 100)
+	if c65 != 64 || v.Indexed() {
+		t.Fatalf("65th class interned as %d (indexed %v), want 64 not indexed", c65, v.Indexed())
 	}
-	// Migrate a PE into the interned class, fault another, then Reset:
+	// Migrate PEs into the interned classes, fault another, then Reset:
 	// membership and health return to construction state, the interned
 	// class table survives.
 	v.SetClass(0, c64)
+	v.SetClass(2, c65)
+	if v.ClassOf(2) != c65 || v.idleCnt[c65] != 1 {
+		t.Fatalf("PE 2 not filed under the 65th class: class %d, idle %d", v.ClassOf(2), v.idleCnt[c65])
+	}
 	v.FaultPE(1)
 	v.Reset()
-	if v.NumClasses() != 64 {
-		t.Fatalf("Reset dropped interned classes: %d", v.NumClasses())
+	if v.NumClasses() != 65 || v.Indexed() {
+		t.Fatalf("Reset dropped interned classes: %d (indexed %v)", v.NumClasses(), v.Indexed())
 	}
-	if v.ClassOf(0) != 0 || v.Faulted(1) || v.IdleCount() != 63 {
-		t.Fatalf("Reset did not restore construction state: class0=%d faulted1=%v idle=%d",
-			v.ClassOf(0), v.Faulted(1), v.IdleCount())
+	if v.ClassOf(0) != 0 || v.ClassOf(2) != 2 || v.Faulted(1) || v.IdleCount() != 63 {
+		t.Fatalf("Reset did not restore construction state: class0=%d class2=%d faulted1=%v idle=%d",
+			v.ClassOf(0), v.ClassOf(2), v.Faulted(1), v.IdleCount())
 	}
-	if v.idleCnt[c64] != 0 {
-		t.Fatalf("empty interned class has idle members after Reset: %d", v.idleCnt[c64])
+	if v.idleCnt[c64] != 0 || v.idleCnt[c65] != 0 {
+		t.Fatalf("empty interned classes have idle members after Reset: %d, %d", v.idleCnt[c64], v.idleCnt[c65])
 	}
 }
 

@@ -256,22 +256,30 @@ func speedClassedPEs(n int) []PE {
 	return pes
 }
 
-// TestNewViewClassBoundary pins the fallback trigger at its exact
-// boundary: 64 interned cost classes are representable (even under a
-// single type key), the 65th is not and must yield no view, sending
-// the emulator down the slice-rebuild path. A negative TypeID and an
-// empty table reject as before; a TypeID beyond 63 is fine as long as
-// the class count fits — masks are per class, not per type.
+// TestNewViewClassBoundary pins the representation boundary: 64
+// interned cost classes are Indexed (even under a single type key); the
+// 65th is accepted — the per-class tables just grow — but the view stops
+// being Indexed, so its owner hands policies the slice views. A negative
+// TypeID and an empty table still yield no view; a TypeID beyond 63 is
+// fine as long as the class count fits — masks are per class, not per
+// type.
 func TestNewViewClassBoundary(t *testing.T) {
 	v := NewView(speedClassedPEs(64))
 	if v == nil {
 		t.Fatal("NewView rejected 64 cost classes")
 	}
-	if v.NumClasses() != 64 {
-		t.Fatalf("interned %d classes, want 64", v.NumClasses())
+	if v.NumClasses() != 64 || !v.Indexed() {
+		t.Fatalf("interned %d classes (indexed %v), want 64 indexed", v.NumClasses(), v.Indexed())
 	}
-	if NewView(speedClassedPEs(65)) != nil {
-		t.Fatal("NewView accepted a 65th cost class")
+	v65 := NewView(speedClassedPEs(65))
+	if v65 == nil {
+		t.Fatal("NewView rejected a 65th cost class")
+	}
+	if v65.NumClasses() != 65 || v65.Indexed() {
+		t.Fatalf("interned %d classes (indexed %v), want 65 not indexed", v65.NumClasses(), v65.Indexed())
+	}
+	if v65.ClassOf(64) != 64 || v65.IdleCount() != 65 {
+		t.Fatalf("65th PE filed under class %d, %d idle", v65.ClassOf(64), v65.IdleCount())
 	}
 	neg := &settableTypePE{fakePE: *idleCPU(0), typeID: -1}
 	if NewView([]PE{neg}) != nil {

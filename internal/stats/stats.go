@@ -88,8 +88,8 @@ type Report struct {
 	ConfigName string
 	PolicyName string
 	// SchedulerPath names the scheduling machinery the run used
-	// ("indexed", "slice", "slice-rebuild" — the core package's
-	// SchedulerPath* constants). It is host-side provenance, not
+	// ("indexed" or "slice" — the core package's SchedulerPath*
+	// constants). It is host-side provenance, not
 	// modelled behaviour: the emulated results are byte-identical
 	// across paths, so parity comparisons ignore it. omitempty keeps
 	// pre-existing fixture documents (which predate the field) valid.

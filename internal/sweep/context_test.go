@@ -209,3 +209,37 @@ func TestAbortReturnsStructuredError(t *testing.T) {
 		t.Fatalf("sequential abort should keep cells 0..1: done=%v", oc.Done)
 	}
 }
+
+// TestRunErrorIsLowestFailingIndex pins that the error an aborted
+// parallel sweep reports does not depend on worker timing: cell 3 fails
+// late (after yielding to the other workers), cells 5 and 40 fail at
+// once and close the abort first, yet cell 3 — handed out before either
+// could fail — always runs and always sorts first.
+func TestRunErrorIsLowestFailingIndex(t *testing.T) {
+	boom := errors.New("boom")
+	cells := make([]Cell[int], 64)
+	for i := range cells {
+		cells[i] = Cell[int]{
+			Label: fmt.Sprintf("cell%d", i),
+			Run: func(*core.Scratch) (int, error) {
+				switch i {
+				case 3:
+					for k := 0; k < 200; k++ {
+						runtime.Gosched()
+					}
+					return 0, boom
+				case 5, 40:
+					return 0, boom
+				}
+				return i, nil
+			},
+		}
+	}
+	for rep := 0; rep < 200; rep++ {
+		_, err := Run(cells, Options{Workers: 8})
+		var ce *CellError
+		if !errors.As(err, &ce) || ce.Index != 3 {
+			t.Fatalf("repetition %d: abort reported %v, want cell 3", rep, err)
+		}
+	}
+}

@@ -104,7 +104,9 @@ type Outcome[T any] struct {
 	Done []bool
 	// Errs lists failed cells in ascending grid order (empty on a
 	// clean run). With Options.KeepGoing it covers every failed cell;
-	// without, it covers the failures observed before the abort.
+	// without, Errs[0] is always the lowest-indexed failing cell of the
+	// grid (see RunContext), and which higher-indexed failures follow it
+	// depends on how far the workers got before the abort.
 	Errs []*CellError
 	// Incomplete is true when not every cell was attempted — the
 	// context was cancelled or a failure aborted the grid. A caller
@@ -132,11 +134,10 @@ var scratchPool = sync.Pool{New: func() any { return core.NewScratch() }}
 // Run executes every cell over the worker pool and returns the
 // results in grid order: out[i] is cells[i]'s result, whatever order
 // the workers finished in. On failure it returns the error of the
-// lowest-indexed cell that was observed to fail (remaining cells are
-// skipped, so under concurrency the identity of that cell can vary
-// between runs; successful sweeps are fully deterministic). Callers
-// that need cancellation, partial-result merging, or keep-going
-// semantics use RunContext.
+// lowest-indexed failing cell of the grid — the same cell at every
+// worker count (see RunContext); which of the cells above it still ran
+// before the abort is what varies. Callers that need cancellation,
+// partial-result merging, or keep-going semantics use RunContext.
 func Run[T any](cells []Cell[T], opts Options) ([]T, error) {
 	opts.KeepGoing = false
 	oc, err := RunContext(context.Background(), cells, opts)
@@ -163,9 +164,13 @@ func Run[T any](cells []Cell[T], opts Options) ([]T, error) {
 // leaks nothing.
 //
 // The error is non-nil when the run was cut short: the context's
-// cancellation cause, or the lowest-indexed observed *CellError when a
-// cell failure aborted the grid. With KeepGoing, cell failures are
-// reported only through Outcome.Errs and the error stays nil.
+// cancellation cause, or the *CellError of the lowest-indexed failing
+// cell when a cell failure aborted the grid. That cell is the same on
+// every run: cells are handed out in index order, so the lowest failing
+// cell m is handed to a worker before any failure exists to close the
+// abort, always runs, and sorts first. Only which cells above m ran
+// depends on timing. With KeepGoing, cell failures are reported only
+// through Outcome.Errs and the error stays nil.
 func RunContext[T any](ctx context.Context, cells []Cell[T], opts Options) (*Outcome[T], error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -187,8 +192,10 @@ func RunContext[T any](ctx context.Context, cells []Cell[T], opts Options) (*Out
 	attempted := 0
 
 	if workers <= 1 {
-		// Sequential fast path: same code shape, no goroutines, and
-		// errors abort at the exact failing cell.
+		// Sequential arm: no goroutines, and an error aborts at the
+		// exact failing cell. Kept beside the pool for that guarantee: a
+		// pool of one races the failing worker's abort against the
+		// feeder's select, so cell i+1 may or may not run.
 		s := scratchPool.Get().(*core.Scratch)
 		defer scratchPool.Put(s)
 	seq:

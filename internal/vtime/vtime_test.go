@@ -2,8 +2,6 @@ package vtime
 
 import (
 	"errors"
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -127,80 +125,6 @@ func TestClockPrefixSumProperty(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	var q EventQueue
-	q.PushAt(30, 0, "c")
-	q.PushAt(10, 0, "a")
-	q.PushAt(20, 0, "b")
-	var got []string
-	for q.Len() > 0 {
-		got = append(got, q.Pop().Payload.(string))
-	}
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
-	}
-}
-
-func TestEventQueueFIFOTies(t *testing.T) {
-	var q EventQueue
-	for i := 0; i < 100; i++ {
-		q.PushAt(42, 0, i)
-	}
-	for i := 0; i < 100; i++ {
-		e := q.Pop()
-		if e.Payload.(int) != i {
-			t.Fatalf("tie-break not FIFO: got %d at position %d", e.Payload, i)
-		}
-	}
-}
-
-func TestEventQueuePeek(t *testing.T) {
-	var q EventQueue
-	if _, ok := q.Peek(); ok {
-		t.Fatalf("Peek on empty queue reported ok")
-	}
-	q.PushAt(5, 7, nil)
-	e, ok := q.Peek()
-	if !ok || e.At != 5 || e.Kind != 7 {
-		t.Fatalf("Peek: got %+v ok=%v", e, ok)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Peek consumed the event")
-	}
-}
-
-// Property: popping a randomly filled queue yields timestamps in
-// non-decreasing order, and every pushed event comes back exactly once.
-func TestEventQueueSortProperty(t *testing.T) {
-	f := func(stamps []uint32) bool {
-		var q EventQueue
-		for i, s := range stamps {
-			q.PushAt(Time(s), 0, i)
-		}
-		var times []Time
-		seen := make(map[int]bool)
-		for q.Len() > 0 {
-			e := q.Pop()
-			times = append(times, e.At)
-			id := e.Payload.(int)
-			if seen[id] {
-				return false
-			}
-			seen[id] = true
-		}
-		if len(seen) != len(stamps) {
-			return false
-		}
-		return sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] })
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestJitterDeterministic(t *testing.T) {
 	a := NewJitter(7, 0.05)
 	b := NewJitter(7, 0.05)
@@ -264,18 +188,5 @@ func TestJitterSpreadGrowsWithSigma(t *testing.T) {
 	}
 	if s1, s2 := spread(0.01), spread(0.10); s2 <= s1 {
 		t.Fatalf("spread did not grow with sigma: %v vs %v", s1, s2)
-	}
-}
-
-func BenchmarkEventQueue(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var q EventQueue
-	for i := 0; i < 1024; i++ {
-		q.PushAt(Time(rng.Int63n(1<<40)), 0, nil)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := q.Pop()
-		q.PushAt(e.At+Time(rng.Int63n(1000)), 0, nil)
 	}
 }
