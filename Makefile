@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test lint loc sharing-report race fuzz serve-smoke bench bench-check benchfull experiments benchmark benchmark-test benchmark-compare
+.PHONY: check fmt vet build test test-times lint loc sharing-report race fuzz serve-smoke bench bench-check benchfull experiments benchmark benchmark-test benchmark-compare
 
 # Inside `make check`, a missing-dependency lint probe downgrades to a
 # loud skip (exit 0) so the rest of the gate still runs; standalone
@@ -26,10 +26,18 @@ build:
 test:
 	$(GO) test ./...
 
-# repolint: the eight contract analyzers (detorder, novtime, singleuse,
-# metafreeze, scratchown, vtflow, sharedmut, singlewriter) over the
-# whole module, _test.go files included — the last three are
-# interprocedural, propagating facts bottom-up over the import graph.
+# Where tier-1's wall time goes: `go test -json ./...` folded to the 15
+# slowest top-level tests (subtests are inside their parent's time),
+# package-qualified, slowest first. A report, not a gate — the pipe
+# drops go test's exit status; `make test` is the gate.
+test-times:
+	@$(GO) test -json ./... | awk -F'"' '$$6 == "Action" && ($$8 == "pass" || $$8 == "fail") && $$14 == "Test" && $$16 !~ "/" { \
+		sub(/^:/, "", $$19); sub(/}.*/, "", $$19); printf "%8.2f s  %s:%s\n", $$19, $$12, $$16 }' | sort -rn | head -15
+
+# repolint: the seven contract analyzers (detorder, novtime, singleuse,
+# metafreeze, scratchown, vtflow, sharedmut) over the whole module,
+# _test.go files included — the last two are interprocedural,
+# propagating facts bottom-up over the import graph.
 # The linter is deliberately stdlib-only — golang.org/x/tools
 # cannot be fetched in the offline/hermetic builds this repo targets,
 # so internal/lint/analysis mirrors the go/analysis surface instead of
@@ -92,10 +100,10 @@ sharing-report:
 # sinks accumulate inside concurrently-executing cells, so both
 # packages' suites run raced in full (each is seconds, not minutes).
 # The serving layer joins since the daemon PR: admission waiters, the
-# snapshot ticker, drain, and the grid-order emitter are all
-# goroutine-heavy by design. kernels joins with its FFT twiddle tables,
-# the package's first shared state: built once per size, then read by
-# every executing sweep worker with no lock.
+# snapshot ticker, the progress tally cells fold into, drain, and the
+# grid-order emitter are all goroutine-heavy by design. kernels joins
+# with its FFT twiddle tables, the package's first shared state: built
+# once per size, then read by every executing sweep worker with no lock.
 race:
 	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/platevent/... ./internal/workload/... ./internal/stats/... ./internal/serve/... ./internal/kernels/...
 	$(GO) test -race -run ParallelGolden ./internal/experiments

@@ -5,7 +5,7 @@
 // check them at the source level on every `make check` and CI push,
 // before a violation ever reaches an emulation run.
 //
-// The eight analyzers and the notes they mechanize:
+// The seven analyzers and the notes they mechanize:
 //
 //   - detorder: map iteration feeding output must sort keys first
 //     (the Fig9CSV class of bug PR 1 fixed by luck).
@@ -24,10 +24,6 @@
 //   - sharedmut: the PDES-readiness inventory — package-level mutable
 //     state a domain-partitioned event loop would race on, including
 //     cross-package writes; also emits the PDES_SHARING.md baseline.
-//   - singlewriter: //repolint:contract single-writer types (the
-//     stats.Online / serve.progressMirror contract) — unlocked
-//     mutating methods reached from more than one goroutine-spawn
-//     site per value.
 //
 // The driver loads packages itself (see load.go), orders them
 // bottom-up over the import graph, and applies per-analyzer package
@@ -50,7 +46,7 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DetOrder, NoVTime, SingleUse, MetaFreeze, ScratchOwn,
-		VTFlow, SharedMut, SingleWriter,
+		VTFlow, SharedMut,
 	}
 }
 
@@ -91,8 +87,6 @@ var Scope = map[string][]string{
 		"repro/internal/core", "repro/internal/sched", "repro/internal/platevent",
 		"repro/internal/workload", "repro/internal/stats", "repro/internal/vtime",
 	},
-	// singlewriter is unscoped: the contract travels with the
-	// annotated type, wherever it is used.
 }
 
 // Finding is one reported diagnostic, position-resolved.

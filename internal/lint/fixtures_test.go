@@ -64,23 +64,6 @@ func TestSharedMutFixtures(t *testing.T) {
 	}
 }
 
-func TestSingleWriterFixtures(t *testing.T) {
-	facts := linttest.RunPackages(t, lint.SingleWriter, "testdata/singlewriter")
-	var fact lint.SingleWriterFact
-	if !factsObject(facts, "fixtures/singlewriter/counter", "Tally", &fact) {
-		t.Fatal("no SingleWriterFact on counter.Tally")
-	}
-	if len(fact.Unlocked) != 2 || fact.Unlocked[0] != "Add" || fact.Unlocked[1] != "Bump" {
-		t.Errorf("Tally unlocked mutating methods = %v, want [Add Bump]", fact.Unlocked)
-	}
-	if !factsObject(facts, "fixtures/singlewriter/counter", "Safe", &fact) {
-		t.Fatal("no SingleWriterFact on counter.Safe")
-	}
-	if len(fact.Unlocked) != 0 || len(fact.Locked) != 1 || fact.Locked[0] != "Add" {
-		t.Errorf("Safe method table = unlocked %v locked %v, want [] [Add]", fact.Unlocked, fact.Locked)
-	}
-}
-
 // TestRunCleanAtHead drives the real driver end to end over the whole
 // module, tests included — the same run `make lint` performs: the load
 // path, fact propagation, scoping, allow filtering, and stale-allow

@@ -92,30 +92,26 @@ func TestWrap(t *testing.T) {
 }
 
 // TestStaleAllowDetection drives the full suite over a scratch module
-// carrying one live allow (it suppresses a real singlewriter finding:
-// used, silent) and one dead allow (nothing to suppress: reported as
-// stale).
+// carrying one live allow (it suppresses a real novtime finding: used,
+// silent) and one dead allow (nothing to suppress: reported as stale).
+// The scratch module is named repro so its internal/core falls inside
+// novtime's scope.
 func TestStaleAllowDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and lints a scratch module")
 	}
 	dir := t.TempDir()
 	writeScratch(t, dir, map[string]string{
-		"go.mod": "module tmpmod\n\ngo 1.24\n",
-		"pkg/pkg.go": `package pkg
+		"go.mod": "module repro\n\ngo 1.24\n",
+		"internal/core/core.go": `package core
 
-//repolint:contract single-writer
-type tally struct{ n int }
+import "time"
 
-func (t *tally) add() { t.n++ }
-
-func spawn() {
-	t := &tally{}
-	t.add()
-	go t.add() //repolint:allow singlewriter scratch fixture: the race is the point
+func nap() {
+	time.Sleep(time.Millisecond) //repolint:allow novtime scratch fixture: the wall clock is the point
 }
 
-//repolint:allow singlewriter nothing mutates here; this directive is dead
+//repolint:allow novtime nothing reads the clock here; this directive is dead
 var answer = 42
 `,
 	})
@@ -135,7 +131,7 @@ var answer = 42
 	if len(stale) != 1 {
 		t.Fatalf("got %d stale-allow findings, want exactly 1 (the dead directive): %v", len(stale), stale)
 	}
-	if !strings.Contains(stale[0].Message, "singlewriter") {
+	if !strings.Contains(stale[0].Message, "novtime") {
 		t.Errorf("stale finding does not name the directive's analyzer: %s", stale[0].Message)
 	}
 	// KeepSuppressed surfaces what the live allow is holding back,
@@ -151,10 +147,10 @@ var answer = 42
 		}
 	}
 	if len(suppressed) != 1 {
-		t.Fatalf("got %d suppressed findings, want 1 (the allowed singlewriter race): %v", len(suppressed), suppressed)
+		t.Fatalf("got %d suppressed findings, want 1 (the allowed novtime call): %v", len(suppressed), suppressed)
 	}
-	if suppressed[0].Analyzer != "singlewriter" || !strings.Contains(suppressed[0].Reason, "the race is the point") {
-		t.Errorf("suppressed finding = %+v, want the singlewriter race with its allow reason", suppressed[0])
+	if suppressed[0].Analyzer != "novtime" || !strings.Contains(suppressed[0].Reason, "the wall clock is the point") {
+		t.Errorf("suppressed finding = %+v, want the novtime call with its allow reason", suppressed[0])
 	}
 }
 

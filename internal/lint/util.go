@@ -30,17 +30,6 @@ func namedAs(t types.Type, pkgPath, name string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// funcFrom reports whether obj is the package-level function
-// pkgPath.name (methods never match).
-func funcFrom(obj types.Object, pkgPath, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // findInterface resolves the interface type pkgPath.name from the
 // pass's package or its transitive imports; nil when the package is
 // not in the import closure (the analyzer part that needs it then has

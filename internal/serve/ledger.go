@@ -9,8 +9,9 @@
 // instead of unbounded buffering, context plumbing so client
 // disconnects and server drain abort sweeps at cell granularity, a
 // content-hashed cell ledger so a killed sweep resumes recomputing
-// zero finished cells, and mid-run statistics snapshots so clients
-// observe progress instead of polling a silent process.
+// zero finished cells, and mid-run progress snapshots (totals over the
+// cells finished so far) so clients observe progress instead of polling
+// a silent process.
 package serve
 
 import (

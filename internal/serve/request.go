@@ -245,51 +245,47 @@ func planSweep(req SweepRequest, specs map[string]*appmodel.AppSpec, reg *kernel
 	return p, nil
 }
 
-// sweepCell builds the executable cell for one grid coordinate. The
-// policy, trace, and sink are all constructed inside the returned
-// closure — cells run concurrently and those values are single-use
-// (the repolint singleuse contract).
-func (p *sweepPlan) sweepCell(i int, mirror *progressMirror, programs *core.ProgramCache) sweep.Cell[CellResult] {
-	pc := p.cells[i]
-	return sweep.Cell[CellResult]{
-		Label: pc.label,
-		Run: func(s *core.Scratch) (CellResult, error) {
-			policy, err := sched.New(pc.key.Policy, pc.key.Seed)
-			if err != nil {
-				return CellResult{}, err
-			}
-			var arrivals []core.Arrival
-			if pc.key.Mode == "validation" {
-				counts := make(map[string]int, len(pc.key.Apps))
-				for _, a := range pc.key.Apps {
-					counts[a.Name] = a.Count
-				}
-				arrivals, err = workload.Validation(p.specs, counts)
-			} else {
-				frame := vtime.Duration(pc.key.FrameMS * float64(vtime.Millisecond))
-				arrivals, err = workload.RateTrace(p.specs, pc.key.RateJobsPerMS, frame)
-			}
-			if err != nil {
-				return CellResult{}, err
-			}
-			snk := &cellSink{online: stats.NewOnline(0), mirror: mirror}
-			report, err := sweep.Emulation{
-				Config:        p.config,
-				Policy:        policy,
-				Registry:      p.reg,
-				Arrivals:      arrivals,
-				Seed:          pc.key.Seed,
-				JitterSigma:   pc.key.JitterSigma,
-				SkipExecution: pc.key.SkipExecution,
-				Programs:      programs,
-				Sink:          snk,
-			}.Run(s)
-			if err != nil {
-				return CellResult{}, err
-			}
-			return makeCellResult(pc.key, report, snk.online), nil
-		},
+// runCell emulates one grid coordinate. The policy, trace, and sink are
+// all constructed here, per call — cells run concurrently and those
+// values are single-use (the repolint singleuse contract). The returned
+// Online is the cell's own sink: the ledger payload is projected from
+// it, and the request's progress tally folds its totals once the cell
+// is journaled.
+func (p *sweepPlan) runCell(pc planCell, programs *core.ProgramCache, s *core.Scratch) (CellResult, *stats.Online, error) {
+	policy, err := sched.New(pc.key.Policy, pc.key.Seed)
+	if err != nil {
+		return CellResult{}, nil, err
 	}
+	var arrivals []core.Arrival
+	if pc.key.Mode == "validation" {
+		counts := make(map[string]int, len(pc.key.Apps))
+		for _, a := range pc.key.Apps {
+			counts[a.Name] = a.Count
+		}
+		arrivals, err = workload.Validation(p.specs, counts)
+	} else {
+		frame := vtime.Duration(pc.key.FrameMS * float64(vtime.Millisecond))
+		arrivals, err = workload.RateTrace(p.specs, pc.key.RateJobsPerMS, frame)
+	}
+	if err != nil {
+		return CellResult{}, nil, err
+	}
+	online := stats.NewOnline(0)
+	report, err := sweep.Emulation{
+		Config:        p.config,
+		Policy:        policy,
+		Registry:      p.reg,
+		Arrivals:      arrivals,
+		Seed:          pc.key.Seed,
+		JitterSigma:   pc.key.JitterSigma,
+		SkipExecution: pc.key.SkipExecution,
+		Programs:      programs,
+		Sink:          online,
+	}.Run(s)
+	if err != nil {
+		return CellResult{}, nil, err
+	}
+	return makeCellResult(pc.key, report, online), online, nil
 }
 
 // makeCellResult projects a report + per-cell online sink into the
@@ -318,24 +314,4 @@ func makeCellResult(key cellKey, r *stats.Report, o *stats.Online) CellResult {
 		RespP99NS:     q(&o.Response, 0.99),
 		EnergyJ:       r.TotalEnergyJ(),
 	}
-}
-
-// cellSink is each cell's private sink: it feeds the cell's own Online
-// aggregate (the source of the deterministic result quantiles) and
-// mirrors every record into the request-wide progress aggregate that
-// snapshot events are cut from. The sink itself is cell-local and
-// single-use; only the mutex-guarded mirror is shared.
-type cellSink struct {
-	online *stats.Online
-	mirror *progressMirror
-}
-
-func (c *cellSink) RecordTask(r stats.TaskRecord) {
-	c.online.RecordTask(r)
-	c.mirror.observeTask(r)
-}
-
-func (c *cellSink) RecordApp(r stats.AppRecord) {
-	c.online.RecordApp(r)
-	c.mirror.observeApp(r)
 }

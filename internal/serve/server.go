@@ -154,9 +154,13 @@ func (s *Server) Drain(ctx context.Context) error {
 // event is one NDJSON response line. Exactly one of the payload groups
 // is populated, keyed by Type:
 //
-//	accepted   — id (request-scoped), cells, resumable hint
-//	snapshot   — done/total cells + live Online aggregates (volatile:
-//	             excluded from byte-identity comparisons)
+//	accepted   — cells (the grid size)
+//	snapshot   — done/total cells, plus tasks_seen/apps_seen/wait_mean_ns
+//	             summed over the completed computed cells — a cell is in
+//	             those totals iff it is in done and was not a ledger hit.
+//	             No quantiles: P² states do not merge, and every cell
+//	             line carries its own. Volatile: wall-clock paced,
+//	             excluded from byte-identity comparisons
 //	cell       — index, label, deterministic CellResult (grid order)
 //	cell_error — index, label, error (grid order, interleaved with cell)
 //	incomplete — the run was cut short (drain, disconnect, deadline)
@@ -170,9 +174,6 @@ type event struct {
 	Total      int     `json:"total,omitempty"`
 	TasksSeen  int64   `json:"tasks_seen,omitempty"`
 	AppsSeen   int64   `json:"apps_seen,omitempty"`
-	WaitP50NS  int64   `json:"wait_p50_ns,omitempty"`
-	RespP50NS  int64   `json:"resp_p50_ns,omitempty"`
-	RespP99NS  int64   `json:"resp_p99_ns,omitempty"`
 	WaitMeanNS float64 `json:"wait_mean_ns,omitempty"`
 
 	// cell / cell_error fields
@@ -261,20 +262,20 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, plan *s
 	hits := 0
 	var missIdx []int
 	var cells []sweep.Cell[CellResult]
-	mirror := newProgressMirror()
+	prog := &progress{total: len(plan.cells)}
 	for i := range plan.cells {
-		if raw, ok := s.ledger.Get(plan.cells[i].hash); ok {
+		pc := plan.cells[i]
+		if raw, ok := s.ledger.Get(pc.hash); ok {
 			hits++
-			em.resolveRaw(i, plan.cells[i].label, raw)
+			em.resolveRaw(i, pc.label, raw)
 			continue
 		}
 		i := i
 		missIdx = append(missIdx, i)
-		inner := plan.sweepCell(i, mirror, s.programs)
 		cells = append(cells, sweep.Cell[CellResult]{
-			Label: inner.Label,
+			Label: pc.label,
 			Run: func(sc *core.Scratch) (CellResult, error) {
-				res, err := inner.Run(sc)
+				res, online, err := plan.runCell(pc, s.programs, sc)
 				if err != nil {
 					return res, err
 				}
@@ -285,20 +286,20 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, plan *s
 				// Journal before emitting: anything the client has
 				// seen is durable, so a crash after this line costs
 				// this cell nothing on resume.
-				if perr := s.ledger.Put(plan.cells[i].hash, raw); perr != nil {
+				if perr := s.ledger.Put(pc.hash, raw); perr != nil {
 					return res, perr
 				}
-				em.resolveRaw(i, inner.Label, raw)
-				mirror.cellDone()
+				em.resolveRaw(i, pc.label, raw)
+				prog.cellDone(online)
 				return res, nil
 			},
 		})
 	}
-	mirror.setDone(hits, len(plan.cells))
+	prog.done = hits // no worker runs yet: set before the pool starts
 
-	// Snapshot streaming: a ticker goroutine cuts mutex-guarded Online
-	// snapshots mid-run so the client observes progress. Stopped (and
-	// drained) before the terminal event so no snapshot trails it.
+	// Snapshot streaming: a ticker goroutine reads the progress tally
+	// mid-run so the client observes progress. Stopped (and drained)
+	// before the terminal event so no snapshot trails it.
 	var snapWG sync.WaitGroup
 	snapStop := make(chan struct{})
 	if s.opts.SnapshotEvery > 0 && len(cells) > 0 {
@@ -312,7 +313,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, plan *s
 				case <-snapStop:
 					return
 				case <-tick.C:
-					em.send(mirror.snapshotEvent())
+					em.send(prog.snapshotEvent())
 				}
 			}
 		}()
@@ -423,69 +424,41 @@ func (e *emitter) writeLine(b []byte) {
 	}
 }
 
-// progressMirror is the request-wide aggregate behind snapshot events.
-// Cells mirror their records into it concurrently, so it guards a
-// stats.Online with a mutex — the documented external-lock form of the
-// Online single-writer/snapshot-reader contract. Record interleaving
-// across cells follows worker timing, which is fine: snapshots are
-// progress telemetry, deliberately excluded from the deterministic
-// merged output.
-//
-//repolint:contract single-writer
-type progressMirror struct {
-	mu     sync.Mutex
-	online *stats.Online
-	done   int
-	total  int
+// progress is the request-wide tally behind snapshot events. A computed
+// cell folds its own Online's totals in exactly once, in one lock
+// acquisition, after its Ledger.Put succeeded — so a cell is in tasks,
+// apps and the wait moments iff it is in done, and work the client will
+// never receive (a cell_error) is never counted. Ledger hits add to
+// done only: their records were folded by whichever request computed
+// them. Everything here merges exactly (counts and sums), whatever
+// order workers finish in.
+type progress struct {
+	mu      sync.Mutex
+	done    int
+	total   int
+	tasks   int64
+	apps    int64
+	waitN   int64
+	waitSum float64
 }
 
-func newProgressMirror() *progressMirror {
-	return &progressMirror{online: stats.NewOnline(0)}
+func (p *progress) cellDone(o *stats.Online) {
+	n := o.Wait.Count()
+	p.mu.Lock()
+	p.done++
+	p.tasks += o.TasksSeen
+	p.apps += o.AppsSeen
+	p.waitN += n
+	p.waitSum += o.Wait.Mean() * float64(n)
+	p.mu.Unlock()
 }
 
-func (m *progressMirror) observeTask(r stats.TaskRecord) {
-	m.mu.Lock()
-	m.online.RecordTask(r)
-	m.mu.Unlock()
-}
-
-func (m *progressMirror) observeApp(r stats.AppRecord) {
-	m.mu.Lock()
-	m.online.RecordApp(r)
-	m.mu.Unlock()
-}
-
-func (m *progressMirror) cellDone() {
-	m.mu.Lock()
-	m.done++
-	m.mu.Unlock()
-}
-
-func (m *progressMirror) setDone(done, total int) {
-	m.mu.Lock()
-	m.done, m.total = done, total
-	m.mu.Unlock()
-}
-
-// snapshotEvent cuts a consistent point-in-time copy of the aggregate
-// (stats.Online.Snapshot under the mirror's lock) and projects it into
-// a snapshot event.
-func (m *progressMirror) snapshotEvent() event {
-	m.mu.Lock()
-	snap := m.online.Snapshot()
-	done, total := m.done, m.total
-	m.mu.Unlock()
-	q := func(d *stats.Dist, p float64) int64 {
-		v := d.Quantile(p)
-		if v != v {
-			return 0
-		}
-		return int64(v)
+func (p *progress) snapshotEvent() event {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ev := event{Type: "snapshot", Done: p.done, Total: p.total, TasksSeen: p.tasks, AppsSeen: p.apps}
+	if p.waitN > 0 {
+		ev.WaitMeanNS = p.waitSum / float64(p.waitN)
 	}
-	return event{
-		Type: "snapshot", Done: done, Total: total,
-		TasksSeen: snap.TasksSeen, AppsSeen: snap.AppsSeen,
-		WaitP50NS: q(&snap.Wait, 0.50), RespP50NS: q(&snap.Response, 0.50),
-		RespP99NS: q(&snap.Response, 0.99), WaitMeanNS: snap.Wait.Mean(),
-	}
+	return ev
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
+	"repro/internal/vtime"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -434,32 +439,209 @@ func TestStatz(t *testing.T) {
 	}
 }
 
-// TestSnapshotEvents: with an aggressive snapshot interval a sweep
-// emits progress snapshots before its terminal event.
-func TestSnapshotEvents(t *testing.T) {
-	_, ts := newTestServer(t, Options{SnapshotEvery: 5 * time.Millisecond})
-	_, _, lines := postSweep(t, ts.URL, slowRequest())
+// snapshotsOf returns the stream's snapshot events in order, failing if
+// one trails the terminal event.
+func snapshotsOf(t *testing.T, lines []string) []map[string]any {
+	t.Helper()
 	evs := eventsOf(t, lines)
-	snaps := 0
+	var snaps []map[string]any
 	for i, ev := range evs {
-		if ev["type"] == "snapshot" {
-			snaps++
-			if i == len(evs)-1 {
-				t.Fatal("snapshot after terminal event")
+		if ev["type"] != "snapshot" {
+			continue
+		}
+		if i == len(evs)-1 {
+			t.Fatal("snapshot after terminal event")
+		}
+		for _, q := range []string{"wait_p50_ns", "resp_p50_ns", "resp_p99_ns"} {
+			if _, has := ev[q]; has {
+				t.Fatalf("snapshot carries %s; quantiles live on cell lines only: %v", q, ev)
 			}
 		}
+		snaps = append(snaps, ev)
 	}
-	if snaps == 0 {
-		t.Fatal("no snapshot events at a 5ms interval on a multi-second sweep")
-	}
-	// Snapshots carry live aggregates once records flow.
-	last := map[string]any{}
-	for _, ev := range evs {
-		if ev["type"] == "snapshot" {
-			last = ev
+	return snaps
+}
+
+// firstHalf is slowRequest restricted to its first policy: the first
+// half of the full grid (policy-major order), used to pre-journal it.
+func firstHalf() SweepRequest {
+	req := slowRequest()
+	req.Policies = req.Policies[:1]
+	return req
+}
+
+// TestSnapshotEvents: with an aggressive snapshot interval a sweep
+// emits progress snapshots before its terminal event, and the totals
+// they carry are cell-granular — monotone, bounded by the grid, and
+// made of exactly the computed cells counted in done.
+func TestSnapshotEvents(t *testing.T) {
+	// One worker, so computed cells complete in grid order and every
+	// snapshot's tasks_seen is checkable against a prefix sum.
+	_, ts := newTestServer(t, Options{SnapshotEvery: 5 * time.Millisecond, Workers: 1})
+
+	check := func(lines []string, hits int) {
+		t.Helper()
+		cells := cellLines(lines)
+		total := len(cells)
+		var tasks []int64 // per computed cell, grid order
+		for _, l := range cells[hits:] {
+			var ev struct {
+				Result CellResult `json:"result"`
+			}
+			if err := json.Unmarshal([]byte(l), &ev); err != nil {
+				t.Fatal(err)
+			}
+			tasks = append(tasks, ev.Result.Tasks)
+		}
+		snaps := snapshotsOf(t, lines)
+		if len(snaps) == 0 {
+			t.Fatal("no snapshot events at a 5ms interval")
+		}
+		prevDone := hits
+		for _, sn := range snaps {
+			done := intField(sn, "done")
+			if done < prevDone || done > total || intField(sn, "total") != total {
+				t.Fatalf("snapshot done=%d after %d, total=%d (grid %d): %v", done, prevDone, intField(sn, "total"), total, sn)
+			}
+			prevDone = done
+			var want int64
+			for _, n := range tasks[:done-hits] {
+				want += n
+			}
+			if got := int64(intField(sn, "tasks_seen")); got != want {
+				t.Fatalf("snapshot at done=%d (hits %d) has tasks_seen=%d, want %d — the sum over its computed cells: %v",
+					done, hits, got, want, sn)
+			}
+			if (done > hits) != (sn["wait_mean_ns"] != nil && sn["apps_seen"] != nil) {
+				t.Fatalf("snapshot aggregates out of step with done=%d hits=%d: %v", done, hits, sn)
+			}
+		}
+		if prevDone == hits {
+			t.Fatalf("no snapshot saw a computed cell complete: %v", snaps[len(snaps)-1])
 		}
 	}
-	if intField(last, "done") == 0 && intField(last, "tasks_seen") == 0 {
-		t.Fatalf("final snapshot empty: %v", last)
+
+	// Cold: nothing journaled, so done starts at 0.
+	_, _, lines := postSweep(t, ts.URL, firstHalf())
+	check(lines, 0)
+	// Half-warm: the first half of the grid is now in the ledger, so
+	// snapshots start at done = hits and tasks_seen counts only the
+	// computed half.
+	_, _, lines = postSweep(t, ts.URL, slowRequest())
+	if term := terminalOf(t, lines); intField(term, "ledger_hits") != 16 || intField(term, "computed") != 16 {
+		t.Fatalf("half-warm terminal: %v", term)
+	}
+	check(lines, 16)
+}
+
+// TestSnapshotExcludesUnjournaledCells: a cell whose Ledger.Put fails
+// is reported as cell_error, so its records must never reach a
+// snapshot — the tally is updated only after the journal write.
+func TestSnapshotExcludesUnjournaledCells(t *testing.T) {
+	s, ts := newTestServer(t, Options{SnapshotEvery: 5 * time.Millisecond})
+	if status, _, _ := postSweep(t, ts.URL, firstHalf()); status != http.StatusOK {
+		t.Fatal("warming sweep failed")
+	}
+	// A closed journal keeps answering Gets and fails every Put.
+	if err := s.Ledger().Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, lines := postSweep(t, ts.URL, slowRequest())
+	term := terminalOf(t, lines)
+	if term["type"] != "done" || intField(term, "ledger_hits") != 16 ||
+		intField(term, "computed") != 0 || intField(term, "failed") != 16 {
+		t.Fatalf("terminal event: %v", term)
+	}
+	if n := strings.Count(strings.Join(lines, "\n"), `"type":"cell_error"`); n != 16 {
+		t.Fatalf("%d cell_error lines, want 16", n)
+	}
+	snaps := snapshotsOf(t, lines)
+	if len(snaps) == 0 {
+		t.Fatal("no snapshot events at a 5ms interval")
+	}
+	for _, sn := range snaps {
+		if intField(sn, "done") != 16 || intField(sn, "tasks_seen") != 0 || intField(sn, "apps_seen") != 0 {
+			t.Fatalf("snapshot counts work the client never received: %v", sn)
+		}
+	}
+}
+
+// TestProgressFold pins the tally's arithmetic on hand-built cells.
+func TestProgressFold(t *testing.T) {
+	// cell builds an Online holding one task per wait (ns) and the
+	// given number of apps, trimmed at warmup.
+	cell := func(warmup vtime.Time, apps int, waits ...int64) *stats.Online {
+		o := stats.NewOnline(warmup)
+		for _, w := range waits {
+			o.RecordTask(stats.TaskRecord{Ready: 10, Start: vtime.Time(10 + w), End: vtime.Time(20 + w)})
+		}
+		for i := 0; i < apps; i++ {
+			o.RecordApp(stats.AppRecord{Arrival: 10, Done: 50})
+		}
+		return o
+	}
+	cases := []struct {
+		name     string
+		hits     int
+		cells    []*stats.Online
+		done     int
+		tasks    int64
+		apps     int64
+		waitMean float64 // a NaN would fail the equality below
+	}{
+		{name: "no cell completed", hits: 3, done: 3},
+		{name: "one cell", cells: []*stats.Online{cell(0, 2, 100, 300)},
+			done: 1, tasks: 2, apps: 2, waitMean: 200},
+		{name: "count-weighted mean", cells: []*stats.Online{cell(0, 1, 100), cell(0, 2, 400, 400, 400)},
+			done: 2, tasks: 4, apps: 3, waitMean: 325},
+		{name: "all-trimmed cell adds totals but no wait", hits: 1,
+			cells: []*stats.Online{cell(0, 1, 100, 300), cell(1000, 4, 7, 7, 7)},
+			done:  3, tasks: 5, apps: 5, waitMean: 200},
+		{name: "empty cell", cells: []*stats.Online{cell(0, 0)}, done: 1},
+	}
+	for _, tc := range cases {
+		p := &progress{done: tc.hits, total: 9}
+		for _, o := range tc.cells {
+			p.cellDone(o)
+		}
+		ev := p.snapshotEvent()
+		if ev.Type != "snapshot" || ev.Done != tc.done || ev.Total != 9 ||
+			ev.TasksSeen != tc.tasks || ev.AppsSeen != tc.apps || ev.WaitMeanNS != tc.waitMean {
+			t.Errorf("%s: snapshot %+v, want done=%d tasks=%d apps=%d wait_mean=%v",
+				tc.name, ev, tc.done, tc.tasks, tc.apps, tc.waitMean)
+		}
+	}
+}
+
+// TestCellAndJournalGolden pins perfRequest()'s deterministic bytes —
+// the concatenated cell lines at any worker count, and the journal
+// file at one worker — to hashes recorded at commit 0643413, before
+// snapshot plumbing was cut from per-record folds to per-cell totals.
+func TestCellAndJournalGolden(t *testing.T) {
+	const (
+		cellSHA    = "ffa642c374e0455117a147b26caac9ce1c47d115199ed47e03587cc6bc708e89"
+		journalSHA = "bc4107f0323e8261df6c244553d21aed0bfff3c00dbb8761b411f42786794c1d"
+	)
+	sha := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	for _, workers := range []int{1, 8} {
+		dir := t.TempDir()
+		_, ts := newTestServer(t, Options{StateDir: dir, Workers: workers})
+		_, _, lines := postSweep(t, ts.URL, perfRequest())
+		if got := sha([]byte(strings.Join(cellLines(lines), "\n") + "\n")); got != cellSHA {
+			t.Errorf("workers=%d: cell lines hash %s, want %s", workers, got, cellSHA)
+		}
+		if workers != 1 {
+			continue // journal order follows completion order
+		}
+		journal, err := os.ReadFile(filepath.Join(dir, "ledger.ndjson"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha(journal); got != journalSHA {
+			t.Errorf("journal hash %s, want %s", got, journalSHA)
+		}
 	}
 }

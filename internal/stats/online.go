@@ -25,9 +25,10 @@ var DefaultQuantiles = []float64{0.50, 0.95, 0.99}
 // so steady-state percentiles are not polluted by the cold start.
 //
 // The zero value is not ready for use; construct with NewOnline. An
-// Online must not be shared by concurrent runs.
-//
-//repolint:contract single-writer
+// Online is single-run and cell-local: it has no synchronization, so
+// one emulation run writes it and the goroutine that ran it reads it
+// afterwards. Never share one across concurrent runs (repolint's
+// singleuse flags the captures that would).
 type Online struct {
 	// Warmup is the trim instant; records originating before it are
 	// dropped (0 keeps everything).
@@ -109,32 +110,6 @@ func (o *Online) pe(id int) *Dist {
 	return d
 }
 
-// Snapshot returns a consistent point-in-time deep copy of the sink:
-// counts, means, min/max, and the full P² marker state of every
-// tracked distribution (Wait, Response, per-PE busy). The copy is
-// independent — observations recorded after the call never move the
-// snapshot's quantiles — so a server can hand snapshots to encoding
-// goroutines while the run continues.
-//
-// Concurrency contract (single writer / snapshot reader): an Online is
-// written by exactly one emulation run. Snapshot does not synchronize
-// with that writer, so it must be called from the writing goroutine,
-// or with writer and snapshotter serialized under one external lock
-// (internal/serve wraps Online in a mutex-guarded sink for exactly
-// this). Calling Snapshot concurrently with RecordTask/RecordApp and
-// no lock is a data race.
-func (o *Online) Snapshot() *Online {
-	c := *o
-	c.Wait = o.Wait.clone()
-	c.Response = o.Response.clone()
-	c.perPE = make([]Dist, len(o.perPE))
-	for i := range o.perPE {
-		c.perPE[i] = o.perPE[i].clone()
-	}
-	// probs is immutable after NewOnline and deliberately shared.
-	return &c
-}
-
 // PEBusy returns the busy (occupancy) distribution recorded for a PE
 // ID, or nil if the PE never completed a post-warmup task.
 func (o *Online) PEBusy(id int) *Dist {
@@ -180,14 +155,6 @@ type Dist struct {
 // probs slice is shared, not copied.
 func newDist(probs []float64) Dist {
 	return Dist{probs: probs, marks: make([]p2, len(probs))}
-}
-
-// clone returns an independent copy of the distribution: scalar state
-// by value, the P² marker slice duplicated (markers are mutated per
-// observation), the immutable probs slice shared.
-func (d Dist) clone() Dist {
-	d.marks = append([]p2(nil), d.marks...)
-	return d
 }
 
 // Add accepts one observation. NaN inputs are tallied in NaNs and
