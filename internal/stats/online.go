@@ -14,10 +14,9 @@ import (
 var DefaultQuantiles = []float64{0.50, 0.95, 0.99}
 
 // Online is the streaming statistics sink: constant-memory aggregation
-// of task wait times, application response times, and per-PE busy
-// (task occupancy) distributions — count, mean, min/max, and P²
-// streaming quantile estimates. It is what makes saturation and
-// long-horizon runs feasible: memory is O(PEs + tracked quantiles),
+// of task wait times and application response times — count, mean and
+// P² streaming quantile estimates. It is what makes saturation and
+// long-horizon runs feasible: memory is O(tracked quantiles),
 // independent of how many million tasks flow through.
 //
 // Warmup implements warm-up trimming: tasks that became ready, and
@@ -45,11 +44,6 @@ type Online struct {
 	// Response aggregates application response times (arrival → done)
 	// in nanoseconds.
 	Response Dist
-
-	probs []float64
-	// perPE aggregates per-PE busy time — the occupancy (start → end)
-	// of tasks the PE executed — indexed by PE ID.
-	perPE []Dist
 }
 
 // NewOnline builds an online sink trimming records before warmup and
@@ -71,7 +65,6 @@ func NewOnline(warmup vtime.Time, probs ...float64) *Online {
 		Warmup:   warmup,
 		Wait:     newDist(ps),
 		Response: newDist(ps),
-		probs:    ps,
 	}
 }
 
@@ -82,7 +75,6 @@ func (o *Online) RecordTask(r TaskRecord) {
 		return
 	}
 	o.Wait.Add(float64(r.WaitTime()))
-	o.pe(r.PEID).Add(float64(r.Duration()))
 }
 
 // RecordApp implements Sink.
@@ -92,31 +84,6 @@ func (o *Online) RecordApp(r AppRecord) {
 		return
 	}
 	o.Response.Add(float64(r.ResponseTime()))
-}
-
-// pe returns the busy distribution of one PE, growing the table on
-// first contact (the only allocation after warm-up).
-func (o *Online) pe(id int) *Dist {
-	if id < 0 {
-		return &Dist{}
-	}
-	for id >= len(o.perPE) {
-		o.perPE = append(o.perPE, Dist{})
-	}
-	d := &o.perPE[id]
-	if d.probs == nil {
-		*d = newDist(o.probs)
-	}
-	return d
-}
-
-// PEBusy returns the busy (occupancy) distribution recorded for a PE
-// ID, or nil if the PE never completed a post-warmup task.
-func (o *Online) PEBusy(id int) *Dist {
-	if id < 0 || id >= len(o.perPE) || o.perPE[id].Count() == 0 {
-		return nil
-	}
-	return &o.perPE[id]
 }
 
 // String renders a compact digest for logs and error messages.

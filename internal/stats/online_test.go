@@ -165,15 +165,6 @@ func TestOnlineSinkAggregation(t *testing.T) {
 	if o.Response.Count() != 1 || o.Response.Max() != 500 {
 		t.Fatalf("response: count=%d max=%v", o.Response.Count(), o.Response.Max())
 	}
-	if pe := o.PEBusy(0); pe == nil || pe.Mean() != 100 {
-		t.Fatalf("PE0 busy = %+v", pe)
-	}
-	if pe := o.PEBusy(1); pe == nil || pe.Mean() != 50 {
-		t.Fatalf("PE1 busy = %+v", pe)
-	}
-	if o.PEBusy(7) != nil {
-		t.Fatal("untouched PE should report nil")
-	}
 	if s := o.String(); !strings.Contains(s, "2 tasks") {
 		t.Fatalf("String() = %q", s)
 	}
