@@ -49,8 +49,8 @@ type Online struct {
 // NewOnline builds an online sink trimming records before warmup and
 // tracking the given quantiles (DefaultQuantiles when none given).
 // Probabilities must lie strictly inside (0, 1) — the P² markers are
-// meaningless outside it; p=0/p=1 callers want Dist.Min/Max — so an
-// out-of-range probability is a programming error and panics.
+// meaningless outside it — so an out-of-range probability is a
+// programming error and panics.
 func NewOnline(warmup vtime.Time, probs ...float64) *Online {
 	if len(probs) == 0 {
 		probs = DefaultQuantiles
@@ -99,17 +99,13 @@ func (o *Online) String() string {
 
 // --- online univariate distribution ------------------------------------------
 
-// Dist is a constant-memory summary of one metric: count, mean,
-// min/max, and P² quantile estimates for a fixed probability set. NaN
-// observations are counted and otherwise ignored, so a single bad
-// sample cannot poison the summary (compare BoxOf). The zero value
-// accepts observations but tracks no quantiles.
+// Dist is a constant-memory summary of one metric: count, mean and P²
+// quantile estimates for a fixed probability set. NaN observations are
+// ignored, so a single bad sample cannot poison the summary (compare
+// BoxOf). The zero value accepts observations but tracks no quantiles.
 type Dist struct {
 	count int64
-	nans  int64
 	sum   float64
-	min   float64
-	max   float64
 
 	probs []float64
 	// boot holds the first five observations (sorted lazily) used to
@@ -124,18 +120,10 @@ func newDist(probs []float64) Dist {
 	return Dist{probs: probs, marks: make([]p2, len(probs))}
 }
 
-// Add accepts one observation. NaN inputs are tallied in NaNs and
-// otherwise ignored.
+// Add accepts one observation; a NaN is ignored.
 func (d *Dist) Add(x float64) {
 	if math.IsNaN(x) {
-		d.nans++
 		return
-	}
-	if d.count == 0 || x < d.min {
-		d.min = x
-	}
-	if d.count == 0 || x > d.max {
-		d.max = x
 	}
 	d.sum += x
 	d.count++
@@ -160,9 +148,6 @@ func (d *Dist) Add(x float64) {
 // Count is the number of accepted (non-NaN) observations.
 func (d *Dist) Count() int64 { return d.count }
 
-// NaNs is the number of rejected NaN observations.
-func (d *Dist) NaNs() int64 { return d.nans }
-
 // Mean is the arithmetic mean of accepted observations (0 when empty).
 func (d *Dist) Mean() float64 {
 	if d.count == 0 {
@@ -170,12 +155,6 @@ func (d *Dist) Mean() float64 {
 	}
 	return d.sum / float64(d.count)
 }
-
-// Min returns the smallest accepted observation (0 when empty).
-func (d *Dist) Min() float64 { return d.min }
-
-// Max returns the largest accepted observation (0 when empty).
-func (d *Dist) Max() float64 { return d.max }
 
 // Quantile returns the P² estimate for one of the tracked
 // probabilities. While fewer than five observations have arrived the
