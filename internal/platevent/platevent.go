@@ -94,6 +94,10 @@ type Event struct {
 // pairs) concurrently.
 type Schedule struct {
 	events []Event
+	// unsorted is set once an event was appended before its
+	// predecessor's instant; until then events is already in
+	// application order.
+	unsorted bool
 }
 
 // New returns an empty schedule.
@@ -120,6 +124,9 @@ func (s *Schedule) PowerCapAt(at vtime.Time, watts float64) *Schedule {
 }
 
 func (s *Schedule) add(e Event) *Schedule {
+	if n := len(s.events); n > 0 && e.At < s.events[n-1].At {
+		s.unsorted = true
+	}
 	s.events = append(s.events, e)
 	return s
 }
@@ -134,11 +141,18 @@ func (s *Schedule) Len() int {
 
 // Events returns the stream sorted by instant, stable in insertion
 // order within one instant — the exact application order the core
-// uses. It returns a fresh copy without touching the receiver, so a
-// built Schedule can be consumed by concurrent emulator constructions.
+// uses. The result is read-only and shared: a schedule built in order
+// (as Churn builds one) returns its own events, capped so an append to
+// the result cannot write into them; any other schedule returns a
+// sorted copy. Neither touches the receiver, so a built Schedule can
+// be consumed by concurrent emulator constructions.
 func (s *Schedule) Events() []Event {
 	if s == nil || len(s.events) == 0 {
 		return nil
+	}
+	if !s.unsorted {
+		n := len(s.events)
+		return s.events[:n:n]
 	}
 	out := make([]Event, len(s.events))
 	copy(out, s.events)

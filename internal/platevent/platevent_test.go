@@ -2,7 +2,9 @@ package platevent
 
 import (
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/vtime"
@@ -30,6 +32,68 @@ func TestEventsStableOrder(t *testing.T) {
 	s.FaultAt(vtime.Time(5*vtime.Microsecond), 1)
 	if got := s.Events()[0]; got.Kind != Fault || got.PE != 1 {
 		t.Fatalf("late append not resorted: head is %+v", got)
+	}
+}
+
+// TestEventsInOrderShared: a schedule built in order is returned
+// without a copy, equal instants keep insertion order, and an append to
+// the result cannot reach the schedule.
+func TestEventsInOrderShared(t *testing.T) {
+	s := New().
+		FaultAt(10, 0).
+		SetSpeedAt(10, 2, 1.5).
+		PowerCapAt(10, 2.5).
+		RestoreAt(40, 0).
+		FaultAt(40, 1)
+	want := []Event{
+		{At: 10, Kind: Fault, PE: 0},
+		{At: 10, Kind: SetSpeed, PE: 2, Speed: 1.5},
+		{At: 10, Kind: PowerCap, PE: -1, CapW: 2.5},
+		{At: 40, Kind: Restore, PE: 0},
+		{At: 40, Kind: Fault, PE: 1},
+	}
+	ev := s.Events()
+	if !reflect.DeepEqual(ev, want) {
+		t.Fatalf("in-order events:\nwant %+v\ngot  %+v", want, ev)
+	}
+	if avg := testing.AllocsPerRun(100, func() { s.Events() }); avg != 0 {
+		t.Fatalf("Events() of an in-order schedule allocates %.1f objects", avg)
+	}
+	s.RestoreAt(50, 1) // lands in ev's spare capacity, if it had any
+	_ = append(ev, Event{At: 1, Kind: Fault, PE: 3})
+	want = append(want, Event{At: 50, Kind: Restore, PE: 1})
+	if got := s.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("append to the result reached the schedule:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestEventsOutOfOrderMatchesStableSort: a schedule built out of order
+// returns the stable sort of its insertion order, and leaves the
+// receiver as built.
+func TestEventsOutOfOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	s := New()
+	for i := 0; i < 500; i++ {
+		at := vtime.Time(r.Intn(40)) // many events share an instant
+		switch r.Intn(4) {
+		case 0:
+			s.FaultAt(at, i)
+		case 1:
+			s.RestoreAt(at, i)
+		case 2:
+			s.SetSpeedAt(at, i, 1+float64(r.Intn(3)))
+		default:
+			s.PowerCapAt(at, float64(i))
+		}
+	}
+	built := append([]Event(nil), s.events...)
+	want := append([]Event(nil), built...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+	if got := s.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatal("out-of-order Events() differs from the stable sort of insertion order")
+	}
+	if !reflect.DeepEqual(s.events, built) {
+		t.Fatal("Events() reordered the receiver")
 	}
 }
 
