@@ -13,9 +13,9 @@ import (
 )
 
 // onlineGoldenSHA256 is the SHA-256 of every value onlineGoldenDigest
-// pins. It was generated before the sink's per-PE distributions were
-// deleted; any change to what Wait, Response, the counts or String()
-// report moves it.
+// pins. Any change to what Wait, Response, the counts or String()
+// report moves it, so a host-only change to the sink must leave it
+// alone.
 const onlineGoldenSHA256 = "051e357d0596d9967703765b9004a24da4d8cbe85a41775099af4791a35f846f"
 
 // goldenHasher accumulates pinned values as their exact bit patterns.
