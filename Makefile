@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-times lint loc sharing-report race fuzz serve-smoke bench bench-check benchfull experiments benchmark benchmark-test benchmark-compare
+.PHONY: check fmt vet build test test-times lint loc race fuzz serve-smoke bench bench-check benchfull experiments benchmark benchmark-test benchmark-compare
 
 # Inside `make check`, a missing-dependency lint probe downgrades to a
 # loud skip (exit 0) so the rest of the gate still runs; standalone
@@ -34,10 +34,10 @@ test-times:
 	@$(GO) test -json ./... | awk -F'"' '$$6 == "Action" && ($$8 == "pass" || $$8 == "fail") && $$14 == "Test" && $$16 !~ "/" { \
 		sub(/^:/, "", $$19); sub(/}.*/, "", $$19); printf "%8.2f s  %s:%s\n", $$19, $$12, $$16 }' | sort -rn | head -15
 
-# repolint: the seven contract analyzers (detorder, novtime, singleuse,
-# metafreeze, scratchown, vtflow, sharedmut) over the whole module,
-# _test.go files included — the last two are interprocedural,
-# propagating facts bottom-up over the import graph.
+# repolint: the six contract analyzers (detorder, novtime, singleuse,
+# metafreeze, scratchown, vtflow) over the whole module, _test.go files
+# included — vtflow is the one interprocedural pass, propagating facts
+# bottom-up over the import graph.
 # The linter is deliberately stdlib-only — golang.org/x/tools
 # cannot be fetched in the offline/hermetic builds this repo targets,
 # so internal/lint/analysis mirrors the go/analysis surface instead of
@@ -74,14 +74,6 @@ loc:
 	while read -r d; do \
 		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
 	done
-
-# Regenerate the PDES sharing baseline (the sharedmut analyzer's
-# inventory of package-level mutable state across the simulation
-# surface). TestSharingReportFresh pins the committed file to the code,
-# so rerun this after adding/removing/re-classifying a package-level
-# variable.
-sharing-report:
-	$(GO) run ./cmd/repolint -sharing-report > PDES_SHARING.md
 
 # The sweep engine is the only deliberately concurrent code in the
 # repo; run it (and the core scratch plumbing it exercises) under the

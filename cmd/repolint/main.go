@@ -2,18 +2,16 @@
 // analyzers (internal/lint) over the given packages and reports every
 // finding not covered by a reasoned //repolint:allow comment.
 //
-//	repolint [-tests=false] [-json] [-github] [-sharing-report] [packages...]
+//	repolint [-tests=false] [-json] [-github] [packages...]
 //
 // Default packages: ./... . Output modes:
 //
-//	(default)        one finding per line, editor-clickable
-//	-json            machine-readable array (file/line/analyzer/message,
-//	                 plus the suppressed findings with their allow
-//	                 reasons, so audits see what the allows hold back)
-//	-github          GitHub Actions workflow commands (::error ...) so
-//	                 findings land as inline annotations on the PR diff
-//	-sharing-report  run only the sharedmut inventory and print the
-//	                 PDES sharing baseline markdown (PDES_SHARING.md)
+//	(default)  one finding per line, editor-clickable
+//	-json      machine-readable array (file/line/analyzer/message,
+//	           plus the suppressed findings with their allow
+//	           reasons, so audits see what the allows hold back)
+//	-github    GitHub Actions workflow commands (::error ...) so
+//	           findings land as inline annotations on the PR diff
 //
 // Exit status: 0 clean, 1 findings, 2 load/driver error. `make lint`
 // runs it over ./... as part of `make check` and CI.
@@ -28,16 +26,14 @@ import (
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
 )
 
 func main() {
 	tests := flag.Bool("tests", true, "also lint _test.go files and external test packages")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON (includes suppressed findings with reasons)")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
-	sharing := flag.Bool("sharing-report", false, "print the PDES sharing baseline (sharedmut inventory) and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: repolint [-tests=false] [-json] [-github] [-sharing-report] [packages...]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: repolint [-tests=false] [-json] [-github] [packages...]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -49,24 +45,6 @@ func main() {
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	if *sharing {
-		// The inventory comes from facts, not diagnostics, so the
-		// report is built from a sharedmut-only pass over the module
-		// without test files (test-only helpers are not part of the
-		// sharing surface a partitioned loop would see).
-		facts := analysis.NewFactStore()
-		if _, err := lint.Run(patterns, lint.Options{
-			Tests:     false,
-			Analyzers: []*analysis.Analyzer{lint.SharedMut},
-			Facts:     facts,
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Print(lint.SharingReport(facts))
-		return
 	}
 
 	findings, err := lint.Run(patterns, lint.Options{Tests: *tests, KeepSuppressed: *jsonOut})

@@ -67,11 +67,6 @@ type Pass struct {
 	// and reporting whether one existed.
 	ExportObjectFact func(obj types.Object, fact Fact)
 	ImportObjectFact func(obj types.Object, fact Fact) bool
-	// ExportPackageFact attaches a fact to the package under analysis;
-	// ImportPackageFact reads the fact attached to any package in the
-	// import closure (including the current one).
-	ExportPackageFact func(fact Fact)
-	ImportPackageFact func(pkg *types.Package, fact Fact) bool
 }
 
 // Diagnostic is one finding at a source position.

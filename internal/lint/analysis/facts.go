@@ -6,15 +6,14 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Facts are how repolint's analyzers become interprocedural: an
 // analyzer running over package P may attach a fact to one of P's
-// objects (a function, a package-level var, a struct field) or to P
-// itself, and every later pass over a package that imports P can read
-// it back. This mirrors the golang.org/x/tools go/analysis Facts
-// design, with one structural difference forced by the offline loader:
+// objects (a function, a package-level var, a struct field), and every
+// later pass over a package that imports P can read it back. This
+// mirrors the golang.org/x/tools go/analysis Facts design, with one
+// structural difference forced by the offline loader:
 // each target package is type-checked in its own importer universe
 // (see internal/lint/load.go), so a types.Object for sched.View seen
 // from core is a different Go value than the one seen while analyzing
@@ -39,8 +38,7 @@ type Fact interface{ AFact() }
 // linttest harness threads one through multi-package fixtures to prove
 // facts cross package boundaries.
 type FactStore struct {
-	objects  map[factKey][]byte
-	packages map[factKey][]byte
+	objects map[factKey][]byte
 
 	// fieldKeys caches, per types.Package *instance* (universes are
 	// per-target, see above), the struct-field -> "T.f" key index.
@@ -49,7 +47,7 @@ type FactStore struct {
 
 type factKey struct {
 	pkg    string // package path, test-variant suffix stripped
-	object string // "" for package facts
+	object string // object key within the package ("F", "T.M", "T.f")
 	typ    string // concrete fact type name
 }
 
@@ -57,7 +55,6 @@ type factKey struct {
 func NewFactStore() *FactStore {
 	return &FactStore{
 		objects:   map[factKey][]byte{},
-		packages:  map[factKey][]byte{},
 		fieldKeys: map[*types.Package]map[types.Object]string{},
 	}
 }
@@ -96,24 +93,6 @@ func (s *FactStore) Bind(pass *Pass, basePath string) {
 		decodeFact(blob, fact)
 		return true
 	}
-	pass.ExportPackageFact = func(fact Fact) {
-		s.packages[factKey{basePath, "", factType(fact)}] = encodeFact(fact)
-	}
-	pass.ImportPackageFact = func(pkg *types.Package, fact Fact) bool {
-		if pkg == nil {
-			return false
-		}
-		path := pkg.Path()
-		if pkg == pass.Pkg {
-			path = basePath
-		}
-		blob, ok := s.packages[factKey{path, "", factType(fact)}]
-		if !ok {
-			return false
-		}
-		decodeFact(blob, fact)
-		return true
-	}
 }
 
 // ObjectFact decodes the fact of the given concrete type attached to
@@ -127,32 +106,6 @@ func (s *FactStore) ObjectFact(pkgPath, objectKey string, fact Fact) bool {
 	}
 	decodeFact(blob, fact)
 	return true
-}
-
-// PackageFact decodes the fact of the given concrete type attached to
-// pkgPath, for post-run consumers (the PDES sharing report walks the
-// sharedmut inventory facts this way). Returns false when absent.
-func (s *FactStore) PackageFact(pkgPath string, fact Fact) bool {
-	blob, ok := s.packages[factKey{pkgPath, "", factType(fact)}]
-	if !ok {
-		return false
-	}
-	decodeFact(blob, fact)
-	return true
-}
-
-// PackagesWithFact lists, sorted, the package paths carrying a fact of
-// the given concrete type.
-func (s *FactStore) PackagesWithFact(fact Fact) []string {
-	typ := factType(fact)
-	var out []string
-	for k := range s.packages {
-		if k.typ == typ {
-			out = append(out, k.pkg)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // objectKey computes the stable textual address of obj within its

@@ -5,7 +5,7 @@
 // check them at the source level on every `make check` and CI push,
 // before a violation ever reaches an emulation run.
 //
-// The seven analyzers and the notes they mechanize:
+// The six analyzers and the notes they mechanize:
 //
 //   - detorder: map iteration feeding output must sort keys first
 //     (the Fig9CSV class of bug PR 1 fixed by luck).
@@ -21,9 +21,6 @@
 //     global-rand values are tracked through helper functions and
 //     struct fields (via analyzer facts) into the virtual-clock
 //     packages, wherever in the module the source lives.
-//   - sharedmut: the PDES-readiness inventory — package-level mutable
-//     state a domain-partitioned event loop would race on, including
-//     cross-package writes; also emits the PDES_SHARING.md baseline.
 //
 // The driver loads packages itself (see load.go), orders them
 // bottom-up over the import graph, and applies per-analyzer package
@@ -45,8 +42,7 @@ import (
 // Analyzers returns repolint's analyzer suite.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		DetOrder, NoVTime, SingleUse, MetaFreeze, ScratchOwn,
-		VTFlow, SharedMut,
+		DetOrder, NoVTime, SingleUse, MetaFreeze, ScratchOwn, VTFlow,
 	}
 }
 
@@ -78,14 +74,6 @@ var Scope = map[string][]string{
 	"vtflow": {
 		"repro/internal/core", "repro/internal/sched", "repro/internal/platevent",
 		"repro/internal/workload", "repro/internal/experiments",
-	},
-	// The PDES sharing surface: everything a domain-partitioned event
-	// loop would touch concurrently — the loop itself, the scheduler
-	// state, platform events, workload sources, the sinks it records
-	// into, and the clock.
-	"sharedmut": {
-		"repro/internal/core", "repro/internal/sched", "repro/internal/platevent",
-		"repro/internal/workload", "repro/internal/stats", "repro/internal/vtime",
 	},
 }
 
@@ -122,8 +110,8 @@ type Options struct {
 	// directive, marked Suppressed with their Reason.
 	KeepSuppressed bool
 	// Facts, when non-nil, is used as the run's fact store and left
-	// populated afterwards (the PDES sharing report reads the
-	// sharedmut inventory facts out of it).
+	// populated afterwards, so a caller can probe what the
+	// interprocedural analyzers exported (ObjectFact).
 	Facts *analysis.FactStore
 }
 
@@ -148,9 +136,8 @@ func Run(patterns []string, opts Options) ([]Finding, error) {
 	}
 
 	// Directives must recognize every suite analyzer, not just the
-	// ones this run executes: a subset run (the sharing report, a
-	// focused -run) must not misreport another analyzer's allow as
-	// unknown.
+	// ones this run executes: a subset run (Options.Analyzers) must
+	// not misreport another analyzer's allow as unknown.
 	known := map[string]bool{"*": true}
 	for _, a := range Analyzers() {
 		known[a.Name] = true

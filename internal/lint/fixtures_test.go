@@ -20,7 +20,7 @@ func TestSingleUseFixtures(t *testing.T)  { linttest.Run(t, lint.SingleUse, "tes
 func TestMetaFreezeFixtures(t *testing.T) { linttest.Run(t, lint.MetaFreeze, "testdata/metafreeze") }
 func TestScratchOwnFixtures(t *testing.T) { linttest.Run(t, lint.ScratchOwn, "testdata/scratchown") }
 
-// The interprocedural analyzers get multi-package fixture trees: their
+// The interprocedural analyzer gets a multi-package fixture tree: its
 // findings only exist because facts crossed package boundaries.
 
 func TestVTFlowFixtures(t *testing.T) {
@@ -37,29 +37,6 @@ func TestVTFlowFixtures(t *testing.T) {
 			t.Errorf("no TaintFact on %s.%s; cross-package taint would be invisible", probe.pkg, probe.key)
 		} else if fact.Source != "time.Now" {
 			t.Errorf("TaintFact on %s.%s names source %q, want time.Now", probe.pkg, probe.key, fact.Source)
-		}
-	}
-}
-
-func TestSharedMutFixtures(t *testing.T) {
-	facts := linttest.RunPackages(t, lint.SharedMut, "testdata/sharedmut")
-	var inv lint.SharingFact
-	if !facts.PackageFact("fixtures/sharedmut/owner", &inv) {
-		t.Fatal("owner package exported no SharingFact inventory")
-	}
-	want := map[string]string{
-		"Pool":     "self-synchronizing",
-		"Registry": "immutable-by-convention",
-		"Counter":  "mutable",
-		"Cache":    "mutex-guarded",
-	}
-	got := map[string]string{}
-	for _, v := range inv.Vars {
-		got[v.Name] = v.Class
-	}
-	for name, class := range want {
-		if got[name] != class {
-			t.Errorf("inventory classifies %s as %q, want %q", name, got[name], class)
 		}
 	}
 }
@@ -81,34 +58,6 @@ func TestRunCleanAtHead(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("unexpected finding at HEAD: %s", f)
-	}
-}
-
-// TestSharingReportFresh pins the committed PDES_SHARING.md to the
-// sharedmut inventory at HEAD: adding, removing, or re-classifying a
-// package-level variable in the PDES sharing surface must regenerate
-// the baseline (make sharing-report).
-func TestSharingReportFresh(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go list + full module typecheck")
-	}
-	root := moduleRoot(t)
-	facts := analysis.NewFactStore()
-	if _, err := lint.Run([]string{"./..."}, lint.Options{
-		Dir:       root,
-		Tests:     false, // the committed baseline covers the non-test sharing surface
-		Analyzers: []*analysis.Analyzer{lint.SharedMut},
-		Facts:     facts,
-	}); err != nil {
-		t.Fatalf("lint.Run: %v", err)
-	}
-	want := lint.SharingReport(facts)
-	got, err := os.ReadFile(filepath.Join(root, "PDES_SHARING.md"))
-	if err != nil {
-		t.Fatalf("reading committed baseline: %v", err)
-	}
-	if string(got) != want {
-		t.Errorf("PDES_SHARING.md is stale; regenerate with `make sharing-report`.\n--- committed ---\n%s\n--- generated ---\n%s", got, want)
 	}
 }
 
